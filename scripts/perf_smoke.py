@@ -37,8 +37,9 @@ Environment:
 * ``SMOKE_SYNTHESIS_FLOOR`` — required symbolic-trace-synthesis vs
   executed-tracer speedup on the fig6sim grid (default 5).
 * ``SMOKE_MULTICONFIG_FLOOR`` — required build-once-query-many
-  reuse-distance-profile speedup vs per-config streaming replay over
-  the 16-machine associativity/TLB grid (default 3).
+  reuse-distance-profile speedup vs per-config replay (one
+  ``simulate_hierarchy`` per machine) over the 16-machine
+  associativity/TLB grid (default 3).
 """
 
 from __future__ import annotations
@@ -358,9 +359,10 @@ def main(argv=None) -> None:
         print(f"parallel sweep speedup floor skipped ({cpus} CPUs)")
 
     # Multi-config simulation: one reuse-distance profile vs per-config
-    # streaming replay over a 16-machine associativity/TLB grid (all in
-    # one set family, so a single build answers every member).  The
-    # profile answers must equal the streaming simulators' exactly.
+    # replay (one simulate_hierarchy, i.e. one profile at the machine's
+    # own caps, per machine) over a 16-machine associativity/TLB grid
+    # (all in one set family, so a single build answers every member).
+    # The two must agree exactly.
     mc_machines = [
         assoc_scaled(l1_assoc=l1a, l2_assoc=l2a, tlb_entries=tlb)
         for l1a in (1, 2, 4, 8)
@@ -382,7 +384,7 @@ def main(argv=None) -> None:
     replay_seconds, replay_stats = timed(run_replay, repeats=2)
     profiled_seconds, profiled_stats = timed(run_profiled, repeats=2)
     assert profiled_stats == replay_stats, (
-        "profile-derived stats diverged from streaming replay"
+        "profile-derived stats diverged from per-config replay"
     )
     mc_speedup = replay_seconds / profiled_seconds
     mc_total_misses = sum(

@@ -256,8 +256,8 @@ def fig6_machine_scaling(
     :func:`~repro.memsim.machine.assoc_scaled` — the canonical consumer
     of the multi-config reuse-distance profile: per trace, one profile
     build answers the entire machine grid by histogram suffix-sums
-    (``REPRO_MULTICONFIG=0`` replays each config through the streaming
-    simulators instead; rows are byte-identical either way).
+    (with ``REPRO_TRACE_CACHE=0`` each config builds its own profile at
+    its own caps instead; rows are byte-identical either way).
     """
     points = fig6ms_points(
         n=n, tile=tile, algorithms=algorithms, layouts=layouts,

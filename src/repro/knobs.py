@@ -206,10 +206,7 @@ declare(
     "REPRO_MULTICONFIG",
     "flag",
     True,
-    "Answer cache-hierarchy stats from shared reuse-distance profiles "
-    "(one vectorized pass per trace, histogram suffix-sums per machine "
-    "config); set to 0 to revert every consumer to the per-config "
-    "streaming simulators.",
+    "retired: no effect",
 )
 
 

@@ -9,19 +9,14 @@ from repro.memsim.cache import (
 from repro.memsim.classify import MissBreakdown, classify_misses
 from repro.memsim.coherence import SharingStats, assign_by_output, false_sharing_stats
 from repro.memsim.engines import (
-    fully_associative_hits,
     lru_hit_mask,
     prev_occurrence,
-    set_associative_miss_lines,
+    set_stack_distances,
     simulate_set_associative,
     stable_argsort_bounded,
+    stack_distances,
 )
-from repro.memsim.hierarchy import (
-    HierarchySimulator,
-    MemoryStats,
-    simulate_hierarchy,
-    simulate_hierarchy_chunked,
-)
+from repro.memsim.hierarchy import MemoryStats, simulate_hierarchy
 from repro.memsim.machine import (
     CacheGeometry,
     MachineModel,
@@ -61,16 +56,14 @@ __all__ = [
     "SharingStats",
     "assign_by_output",
     "false_sharing_stats",
-    "fully_associative_hits",
     "lru_hit_mask",
     "prev_occurrence",
-    "set_associative_miss_lines",
+    "set_stack_distances",
     "simulate_set_associative",
     "stable_argsort_bounded",
-    "HierarchySimulator",
+    "stack_distances",
     "MemoryStats",
     "simulate_hierarchy",
-    "simulate_hierarchy_chunked",
     "CacheGeometry",
     "MachineModel",
     "modern_like",

@@ -1,22 +1,19 @@
 """Exact trace-driven cache simulation.
 
-Two engines:
-
-* :func:`simulate_direct_mapped` — vectorized *exact* simulation of a
-  direct-mapped cache: an access misses iff the most recent access to
-  its set carried a different tag.  Grouping the stream by set index
-  (stable argsort) turns the whole simulation into array comparisons.
-  Both cache levels of the paper's UltraSPARC platform are direct-
-  mapped, so this fast path covers the reproduction's experiments.
+* :func:`simulate_direct_mapped` — miss mask of a direct-mapped cache:
+  the capped stack-distance engine (:mod:`repro.memsim.engines`) at
+  ``cap = 1``, where an access hits iff the previous access to its set
+  touched the same line.  Both cache levels of the paper's UltraSPARC
+  platform are direct-mapped.
 
 * :class:`LRUCache` — reference set-associative LRU simulator (per-set
   move-to-front lists).  Exact for any associativity; O(assoc) Python
   work per access.  It is the *validation oracle*: sweeps go through
-  the vectorized engines in :mod:`repro.memsim.engines`, and the test
-  suite asserts bit-identical miss masks against this class.
+  the vectorized engine, and the test suite asserts bit-identical miss
+  masks against this class.
 
-Addresses are *byte* addresses; both engines return per-access miss
-masks so callers can split statistics by matrix or by operation.
+Addresses are *byte* addresses; both return per-access miss masks so
+callers can split statistics by matrix or by operation.
 """
 
 from __future__ import annotations
@@ -33,25 +30,7 @@ def simulate_direct_mapped(addresses: np.ndarray, geom: CacheGeometry) -> np.nda
     """Boolean miss mask for a direct-mapped cache over a byte-address trace."""
     if geom.assoc != 1:
         raise ValueError(f"direct-mapped engine got assoc={geom.assoc}")
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if addresses.size == 0:
-        return np.zeros(0, dtype=bool)
-    lines = addresses // geom.line
-    sets = lines % geom.n_sets
-    tags = lines // geom.n_sets
-    # Stable sort by set: within a set, accesses stay in program order.
-    order = np.argsort(sets, kind="stable")
-    s_sorted = sets[order]
-    t_sorted = tags[order]
-    miss_sorted = np.empty(addresses.size, dtype=bool)
-    miss_sorted[0] = True
-    # Miss iff first access of the set's run, or tag differs from previous
-    # access to the same set.
-    same_set = s_sorted[1:] == s_sorted[:-1]
-    miss_sorted[1:] = (~same_set) | (t_sorted[1:] != t_sorted[:-1])
-    miss = np.empty_like(miss_sorted)
-    miss[order] = miss_sorted
-    return miss
+    return simulate_set_associative(addresses, geom)
 
 
 class LRUCache:
@@ -95,7 +74,5 @@ def simulate_lru(addresses: np.ndarray, geom: CacheGeometry) -> np.ndarray:
 
 
 def miss_count(addresses: np.ndarray, geom: CacheGeometry) -> int:
-    """Total misses, choosing the fastest exact engine for the geometry."""
-    if geom.assoc == 1:
-        return int(simulate_direct_mapped(addresses, geom).sum())
+    """Total misses of ``geom`` over a byte-address trace."""
     return int(simulate_set_associative(addresses, geom).sum())

@@ -12,11 +12,10 @@ fully-associative LRU cache of the same capacity and line size:
 * **conflict**   — the real cache misses but the fully-associative one
   hits (set-index collisions; the canonical layouts' pathology).
 
-The fully-associative hit test is an LRU stack-distance computation,
-served by the shared vectorized reuse-distance engine
-(:func:`repro.memsim.engines.fully_associative_hits`) — the same code
-path the TLB model uses, so one engine is validated once against the
-scalar oracles and reused everywhere.
+Both the real cache and the fully-associative one are priced by the
+capped stack-distance engine (:mod:`repro.memsim.engines`) — the same
+code path the hierarchy and TLB models use, so one engine is validated
+once against the scalar oracles and reused everywhere.
 
 This directly verifies the paper's claim: the recursive layouts' wins
 at pathological sizes are *conflict* eliminations, while their
@@ -30,8 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.memsim.cache import simulate_direct_mapped
-from repro.memsim.engines import fully_associative_hits, simulate_set_associative
+from repro.memsim.engines import lru_hit_mask, simulate_set_associative
 from repro.memsim.machine import CacheGeometry
 
 __all__ = ["MissBreakdown", "classify_misses"]
@@ -57,27 +55,19 @@ class MissBreakdown:
         return self.conflict / self.total if self.total else 0.0
 
 
-def _fully_associative_hits(lines: np.ndarray, capacity_lines: int) -> np.ndarray:
-    """Boolean hit mask for a fully-associative LRU cache of given size."""
-    return fully_associative_hits(lines, capacity_lines)
-
-
 def classify_misses(addresses: np.ndarray, geom: CacheGeometry) -> MissBreakdown:
     """3C decomposition of the misses of ``geom`` over a byte-address trace."""
     addresses = np.asarray(addresses, dtype=np.int64)
     if addresses.size == 0:
         return MissBreakdown(0, 0, 0, 0)
     lines = addresses // geom.line
-    if geom.assoc == 1:
-        miss = simulate_direct_mapped(addresses, geom)
-    else:
-        miss = simulate_set_associative(addresses, geom)
+    miss = simulate_set_associative(addresses, geom)
     # First touches (compulsory misses by definition, in any cache).
     _, first_idx = np.unique(lines, return_index=True)
     compulsory_mask = np.zeros(lines.size, dtype=bool)
     compulsory_mask[first_idx] = True
     capacity_lines = geom.size // geom.line
-    fa_hits = _fully_associative_hits(lines, capacity_lines)
+    fa_hits = lru_hit_mask(lines, capacity_lines)
     compulsory = int((miss & compulsory_mask).sum())
     conflict = int((miss & ~compulsory_mask & fa_hits).sum())
     capacity = int((miss & ~compulsory_mask & ~fa_hits).sum())

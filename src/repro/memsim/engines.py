@@ -1,54 +1,60 @@
-"""Vectorized exact LRU engines (set-associative and fully-associative).
+"""The exact capped LRU stack-distance engine behind every cache query.
 
-The scalar reference simulators (:class:`repro.memsim.cache.LRUCache`,
-the ordered-dict LRU stacks previously inlined in ``hierarchy`` and
-``classify``) cost 1-2 microseconds per access, which makes every
-trace-driven sweep the bottleneck of the reproduction.  This module
-provides one vectorized core that is *exact* — bit-identical miss masks
-— and serves every associativity:
+The stack distance of an access is the number of *distinct* keys
+touched since the previous access to the same key; an access hits a
+fully-associative LRU cache of capacity ``C`` iff its distance is below
+``C`` (Mattson et al.).  Distances at or above the largest capacity a
+caller asks about are all just misses, so :func:`stack_distances`
+returns ``min(sd, cap)`` per access, a first touch counting as ``cap``:
+one array answers every capacity up to ``cap``.
 
-* **Fully-associative LRU of capacity C** (:func:`lru_hit_mask`): an
-  access hits iff its LRU stack distance — the number of distinct keys
-  touched since the previous access to the same key — is below C.
-* **Set-associative LRU** (:func:`simulate_set_associative`): group the
+* **Set-associative LRU** (:func:`set_stack_distances`): group the
   trace by set index with a stable counting sort; within the grouped
   stream every set's accesses are contiguous and in program order, a
   line's previous occurrence lies in its own set's segment, and the
-  set-associative simulation *is* the fully-associative problem with
-  capacity = assoc applied to the grouped stream.
+  grouped distances *are* the per-set distances.  An access misses an
+  ``(n_sets, assoc)`` LRU cache iff its distance reaches ``assoc``.
+* **Hit/miss masks** (:func:`lru_hit_mask`,
+  :func:`simulate_set_associative`) compare the distances against the
+  capacity; they are views of the same engine, not second algorithms.
 
-The stack-distance decision is computed in four tiers, all exact:
+Consecutive repeats have distance 0 and leave the LRU state unchanged,
+so they are dropped first; with ``cap = 1`` nothing else is needed.  On
+the remaining stream the distance of access ``i`` is the number of
+``j`` in the reuse window ``(prev(i), i)`` whose own previous occurrence
+lies at or before ``prev(i)`` (the first touch of its key inside the
+window), decided in four exact tiers:
 
-1. **Sure hit.**  The window back to the previous occurrence of the key
-   contains ``r = i - prev(i) - 1`` accesses; ``r`` bounds the distinct
-   count from above, so ``r < C`` proves a hit.  O(1) per access.
-2. **Lockstep chains.**  Loop-structured traces (tile sweeps, cyclic
+1. **Lockstep runs.**  Loop-structured traces (tile sweeps, cyclic
    working sets — the streams matrix kernels emit) leave *runs* of
-   consecutive undecided accesses whose windows slide in lockstep
-   (``prev`` advances by one as the position does).  Along such a run
-   the distinct count obeys the exact recurrence
-   ``sd(i) = sd(i-1) + [prev(i-1) <= p] + [next(p) <= i-2] - 1``
-   (``p = prev(i)``; the window gains access ``i-1``, loses the always
-   -distinct access ``p``, and the unique access whose own previous
-   occurrence is ``p`` becomes first-in-window if it lies inside), so
-   one gather + prefix sum per run resolves every member from an exact
-   count at the run's base.  This is what makes at-capacity thrashing
-   patterns — the worst case for every bound — cheap.
-3. **Bounds for isolated accesses.**  *Mid windows* (``w <= 8C``): any
-   access ``j`` in the window with ``jump(j) = j - prev(j) >= 8C >=
-   w-1`` first-touches its key inside the window and no two such share
-   a key; one prefix sum of the indicator counts them; at least C ⇒
-   miss.  *Long windows* (``w > 8C``): the distinct count is monotone
-   under window extension, so the internal distinct count of any
-   fully-contained block of a fixed time grid (length ``4C``) bounds it
-   from below; per-block counts are one ``bincount`` pass.
+   consecutive accesses whose windows slide in lockstep (``prev``
+   advances by one as the position does).  Along a run the distance is
+   constant: from ``i-1`` to ``i`` the window drops access ``prev(i)``,
+   whose key next appears only at ``i``, and gains access ``i-1``, whose
+   key last appeared at ``prev(i-1)``, just outside.  Only each run's
+   base is decided by the tiers below.  This is what makes at-capacity
+   thrashing patterns — the worst case for every bound — cheap.
+2. **Short windows.**  A window of at most ``cap - 1`` accesses holds
+   fewer than ``cap`` distinct keys; its exact count costs at most
+   ``cap - 1`` gathered elements.
+3. **Bounds for long windows.**  With ``F`` two grid blocks (a power
+   of two of at least ``8C``, ``C = cap``): any access ``j`` among the
+   window's first ``F`` with ``jump(j) = j - prev(j) >= F``
+   first-touches its key inside the window, and no two such share a
+   key; one prefix sum of the indicator counts them.  Windows longer
+   than ``F`` that this leaves open use the monotonicity of the
+   distinct count under window extension: the internal distinct count
+   of a fully-contained block of a time grid bounds it from below, one
+   ``bincount`` pass per grid, from the finest grid to coarser ones
+   while two blocks still fit.  A bound of at least ``cap`` settles the
+   run at ``cap``.
 4. **Exact residual.**  Whatever the bounds leave undecided (windows
-   whose distinct count sits near C) is resolved exactly by
+   whose distinct count sits near ``cap``) is counted exactly by
    :func:`_window_distinct` — padded two-dimensional window gathers
-   with reused buffers, counting accesses whose key first appears
-   inside the window.  If an adversarial trace makes the residual
-   volume explode, a capped scalar LRU-stack walk keeps the engine
-   exact at roughly the reference engine's cost.
+   with reused buffers.  If an adversarial trace makes the gathered
+   volume exceed :data:`_RESIDUAL_BUDGET` elements per access, one walk
+   of a ``cap``-deep LRU stack keeps the engine exact at roughly the
+   reference engine's cost.
 
 Keys are grouped with a one- or two-pass 16-bit radix argsort
 (:func:`stable_argsort_bounded`) because NumPy's stable sort is
@@ -58,6 +64,7 @@ radix — and therefore fast — only for 8/16-bit integers.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.memsim.machine import CacheGeometry
 
@@ -67,19 +74,17 @@ __all__ = [
     "stack_distances",
     "set_stack_distances",
     "lru_hit_mask",
-    "fully_associative_hits",
-    "set_associative_miss_lines",
     "simulate_set_associative",
 ]
 
-# Residual windows are resolved by gathering their contents; beyond this
-# many gathered elements the scalar capped-stack fallback is cheaper.
-_RESIDUAL_BUDGET = 1 << 24
+# Residual windows are resolved by gathering their contents, about 10 ns
+# per element; past this many gathered elements per stream access the
+# scalar capped-stack walk (1-10 us per access) is cheaper.
+_RESIDUAL_BUDGET = 128
 
 # Padded-window gathers process this many elements per chunk so buffers
 # stay cache-warm and large allocations are reused, not re-faulted.
 _CHUNK_VOLUME = 1 << 22
-
 
 
 def stable_argsort_bounded(keys: np.ndarray) -> np.ndarray:
@@ -96,7 +101,7 @@ def stable_argsort_bounded(keys: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     hi = int(keys.max())
     if hi < 1 << 16:
-        return np.argsort(keys.astype(np.uint16), kind="stable")
+        return np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
     if hi < 1 << 32:
         low = (keys & 0xFFFF).astype(np.uint16)
         order = np.argsort(low, kind="stable")
@@ -108,9 +113,10 @@ def stable_argsort_bounded(keys: np.ndarray) -> np.ndarray:
 def prev_occurrence(keys: np.ndarray) -> np.ndarray:
     """Index of the previous access to the same key (-1 on first touch).
 
-    ``keys`` may be any integer array; values are compressed to a
-    non-negative range before the radix argsort.  The result is int32
-    (traces are indexed well below 2**31).
+    ``keys`` may be any integer array; values are shifted to start at 0
+    and narrowed to the smallest unsigned type that holds them, so the
+    radix argsort and the sorted-key gather move fewer bytes.  The
+    result is int32 (traces are indexed well below 2**31).
     """
     keys = np.asarray(keys)
     n = keys.size
@@ -119,6 +125,11 @@ def prev_occurrence(keys: np.ndarray) -> np.ndarray:
     lo = keys.min()
     if lo != 0:
         keys = keys - lo
+    hi = int(keys.max())
+    if hi < 1 << 16:
+        keys = keys.astype(np.uint16)
+    elif hi < 1 << 32:
+        keys = keys.astype(np.uint32)
     order = stable_argsort_bounded(keys)
     order32 = order.astype(np.int32)
     sorted_keys = keys[order]
@@ -137,12 +148,12 @@ def _window_distinct(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
     The stack distance of access ``i`` equals the number of ``j`` in
     the open interval ``(prev[i], i)`` with ``prev[j] <= prev[i]``
     (accesses whose key first appears inside the window).  Windows are
-    grouped by length octave, padded to a rectangle, and counted with
-    two-dimensional masked gathers into reused buffers — large fresh
-    allocations fault pages at ~4x the cost of the arithmetic on this
-    kind of box, so the buffers are allocated once per call.
+    grouped by length octave and copied, padded to the group's width,
+    as rows of a sliding view over ``prev`` (contiguous row copies, no
+    offset arithmetic); the mask buffers are allocated once per call,
+    since large fresh allocations fault pages at ~4x the cost of the
+    arithmetic on this kind of box.
     """
-    n = prev.size
     m = idx.size
     out = np.zeros(m, dtype=np.int32)
     if m == 0:
@@ -158,10 +169,11 @@ def _window_distinct(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
     octave = np.frexp(np.maximum(lens, 1).astype(np.float64))[1].astype(np.int16)
     order = np.argsort(octave, kind="stable")
     volume = max(min(_CHUNK_VOLUME, m * longest), longest)
-    buf_off = np.empty(volume, dtype=np.int32)
-    buf_val = np.empty(volume, dtype=np.int32)
     buf_first = np.empty(volume, dtype=bool)
     buf_valid = np.empty(volume, dtype=bool)
+    # Rows of the widest group may run past the end; the padding is
+    # masked like any position past a row's own window.
+    padded = np.concatenate([prev, np.zeros(longest, dtype=prev.dtype)])
     grouped_oct = octave[order]
     pos = 0
     while pos < m:
@@ -175,310 +187,157 @@ def _window_distinct(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
             continue  # zero-length windows: distinct count stays 0
         rows = max(1, volume // width)
         ar = np.arange(width, dtype=np.int32)
+        windows = sliding_window_view(padded, width)
         for s in range(0, group.size, rows):
             g = group[s : s + rows]
             k = g.size
-            off = buf_off[: k * width].reshape(k, width)
-            val = buf_val[: k * width].reshape(k, width)
             first = buf_first[: k * width].reshape(k, width)
             valid = buf_valid[: k * width].reshape(k, width)
-            np.add(starts[g][:, None], ar[None, :], out=off)
-            np.minimum(off, np.int32(n - 1), out=off)
-            np.take(prev, off, out=val)
-            np.less_equal(val, thr[g][:, None], out=first)
+            np.less_equal(windows[starts[g]], thr[g][:, None], out=first)
             np.less(ar[None, :], lens[g][:, None], out=valid)
             np.logical_and(first, valid, out=first)
             out[g] = first.sum(axis=1, dtype=np.int32)
     return out
 
 
-def _scalar_capped_fallback(
-    keys: np.ndarray, prev: np.ndarray, idx: np.ndarray, capacity: int
-) -> np.ndarray:
-    """Exact fallback for adversarial traces: one LRU-stack dict walk,
-    recording hits only at the flagged indices."""
-    flagged = np.zeros(keys.size, dtype=bool)
-    flagged[idx] = True
-    flags = flagged.tolist()
-    out = np.zeros(keys.size, dtype=bool)
-    stack: dict[int, None] = {}
+def _scalar_capped(keys: np.ndarray, idx: np.ndarray, cap: int) -> np.ndarray:
+    """Exact ``min(sd, cap)`` at ``idx`` by one walk of a ``cap``-deep
+    LRU stack (most recent first) over the whole stream."""
+    flags = np.zeros(keys.size, dtype=bool)
+    flags[idx] = True
+    flagged = flags.tolist()
+    out = np.full(keys.size, cap, dtype=np.int32)
+    stack: list[int] = []
     for k, key in enumerate(keys.tolist()):
-        if key in stack:
-            del stack[key]
-            if flags[k]:
-                out[k] = True
-        elif len(stack) >= capacity:
-            del stack[next(iter(stack))]
-        stack[key] = None
+        try:
+            depth = stack.index(key)
+        except ValueError:
+            if len(stack) == cap:
+                stack.pop()
+        else:
+            if flagged[k]:
+                out[k] = depth
+            del stack[depth]
+        stack.insert(0, key)
     return out[idx]
 
 
-def _scalar_stack_distances(keys: np.ndarray) -> np.ndarray:
-    """Exact per-access stack distances by one Fenwick-tree walk.
-
-    A 1-bit marks the *latest* occurrence position of every key seen so
-    far; the distinct count of the reuse window ``(p, i)`` is then the
-    number of set bits in positions ``p+1 .. i-1``.  O(n log n), used
-    only when the windowed gathers of :func:`stack_distances` would
-    exceed the residual budget.
-    """
-    keys = np.asarray(keys)
-    n = keys.size
-    sd = np.full(n, -1, dtype=np.int32)
-    tree = [0] * (n + 1)
-    last: dict[int, int] = {}
-
-    def add(i: int, d: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += d
-            i += i & -i
-
-    def prefix(i: int) -> int:  # set bits at positions < i
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    for i, key in enumerate(keys.tolist()):
-        p = last.get(key, -1)
-        if p >= 0:
-            sd[i] = prefix(i) - prefix(p + 1)
-            add(p, -1)
-        add(i, 1)
-        last[key] = i
-    return sd
-
-
-def stack_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
-    """Exact LRU stack distance of every access (-1 on first touch).
-
-    The stack distance is the number of *distinct* keys accessed since
-    the previous access to the same key; an access hits a
-    fully-associative LRU of capacity ``C`` iff its distance is below
-    ``C``, so one distance array answers every capacity at once
-    (Mattson).  Reuses the engine's lockstep-chain machinery: only each
-    chain's base pays a from-scratch :func:`_window_distinct` count, the
-    members resolve by the exact sliding-window recurrence, and an
-    adversarial residual volume falls back to an exact Fenwick walk.
-    """
-    keys = np.asarray(keys)
-    n = keys.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    if prev is None:
-        prev = prev_occurrence(keys)
-    prev = prev.astype(np.int32, copy=False)
-    sd = np.full(n, -1, dtype=np.int32)
-    has_prev = prev >= 0
-    und = np.flatnonzero(has_prev).astype(np.int32)
-    if und.size == 0:
-        return sd
-    p_u = prev[und]
-    chain = np.zeros(und.size, dtype=bool)
-    if und.size > 1:
-        chain[1:] = (np.diff(und) == 1) & (np.diff(p_u) == 1)
-    bases = und[~chain]
-    base_volume = int((bases.astype(np.int64) - prev[bases] - 1).sum())
-    if base_volume > _RESIDUAL_BUDGET:
-        return _scalar_stack_distances(keys)
-    sd_bases = _window_distinct(prev, bases)
-    pos = np.arange(n, dtype=np.int32)
-    nxt = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-    nxt[prev[has_prev]] = pos[has_prev]
-    # sd(i) = sd(i-1) + [prev(i-1) <= p] + [next(p) <= i-2] - 1
-    delta = (
-        (prev[und - 1] <= p_u).astype(np.int32)
-        + (nxt[p_u] <= und - 2).astype(np.int32)
-        - 1
-    )
-    delta[~chain] = 0
-    run_sums = np.cumsum(delta, dtype=np.int32)
-    run_id = np.cumsum(~chain, dtype=np.int32)  # 1-based run number
-    base_positions = np.flatnonzero(~chain)
-    rel = run_sums - run_sums[base_positions][run_id - 1]
-    sd[und] = sd_bases[run_id - 1] + rel
-    return sd
-
-
-def set_stack_distances(lines: np.ndarray, n_sets: int) -> np.ndarray:
-    """Exact within-set stack distances of a line-id stream, in program
-    order (-1 on first touch).
-
-    The trace is grouped by set index with the stable counting sort
-    (every set's accesses become contiguous and chronologically
-    ordered, and a line's reuse window never leaves its own segment),
-    so the grouped fully-associative distances *are* the per-set
-    distances; an access misses a ``(n_sets, assoc)`` LRU cache iff
-    ``sd < 0 or sd >= assoc`` — one array answers every associativity
-    of the set family.
-    """
-    lines = np.asarray(lines)
-    n = lines.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    if n_sets == 1:
-        return stack_distances(lines)
-    sets = lines % n_sets
-    order = stable_argsort_bounded(sets)
-    grouped = lines[order]
-    sd = np.empty(n, dtype=np.int32)
-    sd[order] = stack_distances(grouped)
-    return sd
-
-
-def _lru_hit_core(keys: np.ndarray, prev: np.ndarray, capacity: int) -> np.ndarray:
-    """Boolean hit mask of a fully-associative LRU(capacity) over keys,
-    given the previous-occurrence chain."""
-    n = keys.size
-    if n == 0 or capacity <= 0:
-        return np.zeros(n, dtype=bool)
-    prev = prev.astype(np.int32, copy=False)
-    pos = np.arange(n, dtype=np.int32)
-    r = pos - prev - 1  # accesses inside the reuse window (junk for firsts)
-    has_prev = prev >= 0
-    # Tier 1: window shorter than the capacity -> certain hit.
-    hits = has_prev & (r < capacity)
-    und = np.flatnonzero(has_prev & (r >= capacity)).astype(np.int32)
-    if und.size == 0:
-        return hits
-    p_u = prev[und]
-    # Tier 2: lockstep chains.  Consecutive undecided accesses whose
-    # windows slide in step admit an exact incremental recurrence; only
-    # each run's base needs a from-scratch count.
-    chain = np.zeros(und.size, dtype=bool)
-    if und.size > 1:
-        chain[1:] = (np.diff(und) == 1) & (np.diff(p_u) == 1)
-    if int(np.count_nonzero(chain)) * 20 < und.size:
-        # Chains are too sparse to pay for their prefix sums; treat the
-        # whole undecided set as isolated.
-        chain[:] = False
-    if chain.any():
-        run_id = np.cumsum(~chain, dtype=np.int32)  # 1-based run number
-        run_len = np.bincount(run_id)
-        in_run = run_len[run_id] >= 2
-        base_mask = ~chain & in_run
-        bases = und[base_mask]
-        base_volume = int((bases.astype(np.int64) - prev[bases] - 1).sum())
-        if base_volume > _RESIDUAL_BUDGET:
-            # Chains won't pay: one exact scalar walk decides everything.
-            hits[und] = _scalar_capped_fallback(keys, prev, und, capacity)
-            return hits
-        sd_bases = _window_distinct(prev, bases)
-        hits[bases] = sd_bases < capacity
-        nxt = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-        nxt[prev[has_prev]] = pos[has_prev]
-        # sd(i) = sd(i-1) + [prev(i-1) <= p] + [next(p) <= i-2] - 1
-        delta = (
-            (prev[und - 1] <= p_u).astype(np.int32)
-            + (nxt[p_u] <= und - 2).astype(np.int32)
-            - 1
+def _settled(prev: np.ndarray, idx: np.ndarray, cap: int) -> np.ndarray:
+    """Whether a cheap lower bound proves that the reuse window
+    ``(prev[i], i)`` of each ``i`` in ``idx`` (all longer than ``cap``)
+    holds at least ``cap`` distinct keys."""
+    pos = np.arange(prev.size, dtype=np.int32)
+    p = prev[idx]
+    # Grid blocks hold 2**shift >= 4C accesses; "far" is two blocks.
+    shift = (4 * cap - 1).bit_length()
+    far = 2 << shift
+    # An access j in (p, p + far] with j - prev(j) >= far first-touches
+    # its key inside the window, and no two such share a key; counting
+    # them over the window's first far accesses bounds its distinct
+    # count.  (A first touch counts only once j + 1 >= far; that only
+    # weakens the bound.)
+    s = np.cumsum(pos - prev >= far, dtype=np.int32)
+    settled = s[np.minimum(idx - 1, p + far)] - s[p] >= cap
+    # Long windows: the internal distinct count of a fully-contained
+    # grid block bounds the window's from below.  Windows a grid leaves
+    # open retry on the next coarser grid (twice the block) while two of
+    # its blocks fit, so the first and last full blocks always lie
+    # strictly inside (p, i).
+    w = idx - p
+    todo = np.flatnonzero(~settled & (w > far))
+    while todo.size:
+        blk = pos >> shift
+        distinct = np.bincount(
+            blk[(prev >> shift) < blk], minlength=int(blk[-1]) + 1
         )
-        delta[~chain] = 0
-        run_sums = np.cumsum(delta, dtype=np.int32)
-        base_positions = np.flatnonzero(~chain)
-        sd_run_base = np.zeros(base_positions.size, dtype=np.int32)
-        sd_run_base[run_len[1:] >= 2] = sd_bases
-        rel = run_sums - run_sums[base_positions][run_id - 1]
-        sd_members = sd_run_base[run_id - 1] + rel
-        hits[und[chain]] = sd_members[chain] < capacity
-        iso_mask = ~chain & ~in_run
-        iso = und[iso_mask]
-        p_i = p_u[iso_mask]
+        done = (distinct[(p[todo] >> shift) + 1] >= cap) | (
+            distinct[(idx[todo] >> shift) - 1] >= cap
+        )
+        settled[todo[done]] = True
+        shift += 1
+        todo = todo[~done & (w[todo] > 2 << shift)]
+    return settled
+
+
+def _capped_distances(keys: np.ndarray, cap: int) -> np.ndarray:
+    """``min(sd, cap)`` over a stream without consecutive repeats
+    (``cap >= 2``), by the four tiers of the module docstring."""
+    n = keys.size
+    prev = prev_occurrence(keys)
+    # Tier 1: an access whose window slides in step with its
+    # predecessor's shares its distance; every other access (first
+    # touches included) starts a run, and only run starts are decided.
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = (prev[1:] != prev[:-1] + 1) | (prev[:-1] < 0)
+    starts = np.flatnonzero(run_start)
+    p = prev[starts]
+    w = starts - p
+    warm = p >= 0
+    sd = np.full(starts.size, cap, dtype=np.int32)
+    # Tier 2: short windows hold fewer than cap distinct keys.
+    short = warm & (w <= cap)
+    sd[short] = _window_distinct(prev, starts[short])
+    # Tier 3: cheap provable bounds settle most long windows at cap.
+    long_ = np.flatnonzero(warm & (w > cap))
+    open_ = long_[~_settled(prev, starts[long_], cap)]
+    # Tier 4: exact counting for the undecided few.
+    residual = starts[open_]
+    if int((w[open_] - 1).sum(dtype=np.int64)) > _RESIDUAL_BUDGET * n:
+        sd[open_] = _scalar_capped(keys, residual, cap)
     else:
-        iso = und
-        p_i = p_u
-    if iso.size == 0:
-        return hits
-    # Tier 3: cheap provable bounds for the isolated accesses.
-    w_i = iso - p_i
-    block = 4 * capacity
-    mid = w_i <= 2 * block
-    bound = np.zeros(iso.size, dtype=np.int32)
-    if mid.any():
-        # jump >= 8C >= w - 1: first-in-window, pairwise-distinct keys.
-        jump = pos - prev
-        jump[~has_prev] = np.iinfo(np.int32).max
-        s = np.cumsum(jump >= 2 * block, dtype=np.int32)
-        bound[mid] = s[iso[mid] - 1] - s[p_i[mid]]
-    if not mid.all():
-        # Fully-contained grid blocks bound long windows from below.
-        blk = pos // block
-        in_block_first = prev < blk * np.int32(block)
-        blk_distinct = np.bincount(
-            blk[in_block_first], minlength=int(blk[-1]) + 1
-        ).astype(np.int32)
-        sel = iso[~mid]
-        p_l = p_i[~mid]
-        b_first = p_l // block + 1
-        b_last = sel // block - 1
-        lower = blk_distinct[b_first]
-        # The last block may touch p when i - p is an exact multiple of
-        # the block length; only a block strictly past p is contained.
-        ok_last = b_last * block > p_l
-        lower = np.maximum(lower, np.where(ok_last, blk_distinct[b_last], 0))
-        bound[~mid] = lower
-    residual = iso[bound < capacity]
-    if residual.size == 0:
-        return hits
-    # Tier 4: exact windowed counting for the undecided few.
-    volume = int(
-        (residual.astype(np.int64) - prev[residual].astype(np.int64) - 1).sum()
-    )
-    if volume > _RESIDUAL_BUDGET:
-        hits[residual] = _scalar_capped_fallback(keys, prev, residual, capacity)
-    else:
-        hits[residual] = _window_distinct(prev, residual) < capacity
-    return hits
+        sd[open_] = np.minimum(_window_distinct(prev, residual), cap)
+    return sd[np.cumsum(run_start, dtype=np.int32) - 1]
+
+
+def stack_distances(keys: np.ndarray, cap: int) -> np.ndarray:
+    """Exact LRU stack distance of every access, capped: ``min(sd, cap)``
+    with a first touch counted as ``cap`` (int32).
+
+    An access hits a fully-associative LRU of capacity ``C <= cap`` iff
+    its result is below ``C``, so one array answers every capacity up to
+    ``cap``.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    keys = np.asarray(keys)
+    n = keys.size
+    if n == 0 or cap == 0:
+        return np.full(n, cap, dtype=np.int32)
+    # A consecutive repeat is at distance 0; every other access is at
+    # distance >= 1, which is all cap = 1 needs to know.
+    fresh = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    if cap == 1:
+        return fresh.astype(np.int32)
+    idx = np.flatnonzero(fresh)
+    if idx.size == n:
+        return _capped_distances(keys, cap)
+    sd = np.zeros(n, dtype=np.int32)
+    sd[idx] = _capped_distances(keys[idx], cap)
+    return sd
+
+
+def set_stack_distances(lines: np.ndarray, n_sets: int, cap: int) -> np.ndarray:
+    """Exact capped within-set stack distances of a line-id stream, in
+    program order: an access misses an ``(n_sets, assoc)`` LRU cache
+    with ``assoc <= cap`` iff its result reaches ``assoc``."""
+    lines = np.asarray(lines)
+    if n_sets == 1 or lines.size == 0:
+        return stack_distances(lines, cap)
+    order = stable_argsort_bounded(lines % n_sets)
+    sd = np.empty(lines.size, dtype=np.int32)
+    sd[order] = stack_distances(lines[order], cap)
+    return sd
 
 
 def lru_hit_mask(keys: np.ndarray, capacity: int) -> np.ndarray:
     """Boolean hit mask of a fully-associative LRU cache over a key
     stream (keys may be line ids, page ids, ...)."""
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return np.zeros(0, dtype=bool)
-    prev = prev_occurrence(keys)
-    return _lru_hit_core(keys, prev, capacity)
-
-
-def fully_associative_hits(keys: np.ndarray, capacity: int) -> np.ndarray:
-    """Alias of :func:`lru_hit_mask` (name used by the 3C classifier)."""
-    return lru_hit_mask(keys, capacity)
-
-
-def set_associative_miss_lines(
-    lines: np.ndarray, n_sets: int, assoc: int
-) -> np.ndarray:
-    """Boolean miss mask of an exact set-associative LRU cache over a
-    *line-id* stream.
-
-    Grouping the trace by set with a stable sort makes every set's
-    accesses contiguous and chronologically ordered; a line's previous
-    occurrence always falls in its own set's segment, so the grouped
-    stream is simulated as one fully-associative LRU of capacity
-    ``assoc`` and the mask is scattered back to program order.
-    """
-    lines = np.asarray(lines)
-    n = lines.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if n_sets == 1:
-        return ~lru_hit_mask(lines, assoc)
-    sets = lines % n_sets
-    order = stable_argsort_bounded(sets)
-    grouped = lines[order]
-    hits_grouped = lru_hit_mask(grouped, assoc)
-    miss = np.empty(n, dtype=bool)
-    miss[order] = ~hits_grouped
-    return miss
+    return stack_distances(keys, capacity) < capacity
 
 
 def simulate_set_associative(addresses: np.ndarray, geom: CacheGeometry) -> np.ndarray:
     """Boolean miss mask of an exact set-associative LRU cache over a
-    byte-address trace (see :func:`set_associative_miss_lines`)."""
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if addresses.size == 0:
-        return np.zeros(0, dtype=bool)
-    return set_associative_miss_lines(addresses // geom.line, geom.n_sets, geom.assoc)
+    byte-address trace."""
+    lines = np.asarray(addresses, dtype=np.int64) // geom.line
+    return set_stack_distances(lines, geom.n_sets, geom.assoc) >= geom.assoc

@@ -2,34 +2,37 @@
 
 Every machine model in a sweep re-simulates the same machine-independent
 address stream; Mattson's stack-distance observation collapses that work.
-One vectorized pass (:func:`repro.memsim.engines.set_stack_distances`)
-computes the exact per-access LRU stack distance of the stream, and an
-access misses a set-associative LRU cache of associativity ``a`` iff its
-within-set distance is cold (``-1``) or ``>= a`` — so one *histogram* of
-distances answers every associativity of the same ``(line, n_sets)``
-family by a suffix sum.  A :class:`ReuseProfile` holds:
+One vectorized pass of the capped engine
+(:func:`repro.memsim.engines.set_stack_distances`) computes each access's
+within-set LRU stack distance, capped at the largest associativity any
+query will ask about; an access misses a set-associative LRU cache of
+associativity ``a <= cap`` iff its capped distance reaches ``a``.  A
+``cap + 1``-bin *histogram* of the distances (bin ``cap`` holds first
+touches and everything farther) therefore answers every associativity
+up to the cap of the same ``(line, n_sets)`` family by a suffix sum,
+``misses(a) = hist[a:].sum()``.  A :class:`ReuseProfile` holds:
 
 * the **L1 histogram** over the stream's L1-line distances (per-set
   family ``(l1.line, l1.n_sets)``),
 * one **L2 histogram per L1 associativity** — L2 sees only the L1-miss
-  stream, and the miss mask of *any* L1 associativity is derivable from
-  the same distance array (``sd < 0 or sd >= a``), so the build
-  precomputes the canonical associativities plus any requested extras,
-* the **TLB histogram** over the consecutive-deduped page stream (the
-  TLB is fully associative, family ``n_sets = 1`` — any entry count
+  stream, and the miss mask of *any* L1 associativity up to the cap is
+  derivable from the same distance array (``sd >= a``), so the build
+  precomputes the requested associativities,
+* the **TLB histogram** over the page stream (the TLB is fully
+  associative, family ``n_sets = 1`` — any entry count up to its cap
   queries from one histogram).
 
-:meth:`ReuseProfile.query` then derives exact, bit-identical
-:class:`~repro.memsim.hierarchy.MemoryStats` for any machine in the
-family with O(histogram) work — no per-config replay.  Applicability
-limit: configs that change a level's line size or set count (a different
-*family*) need a fresh profile; only capacity/associativity sweeps
-within the family share one.
+:meth:`ReuseProfile.query` then derives exact :class:`MemoryStats` for
+any machine in the family within the caps, with O(histogram) work — no
+per-config replay.  :func:`build_profile` caps wide enough for the
+fig6ms associativity/TLB grid; :func:`profile_at_machine_caps` caps at
+one machine's own associativities (one L2 pass), which is how
+:func:`repro.memsim.hierarchy.simulate_hierarchy` prices a single
+machine.  Configs that change a level's line size or set count (a
+different *family*) need a fresh profile.
 
-Histograms are structure-of-arrays int64; profiles persist as ``.npz``
-beside the traces in the :class:`~repro.memsim.store.TraceStore`.  The
-``REPRO_MULTICONFIG`` knob (default on) reverts every consumer to the
-per-config streaming simulators.
+Histograms are int64; profiles persist as ``.npz`` beside the traces in
+the :class:`~repro.memsim.store.TraceStore`.
 """
 
 from __future__ import annotations
@@ -38,30 +41,29 @@ import dataclasses
 
 import numpy as np
 
-from repro import knobs, obs
-from repro.memsim.hierarchy import MemoryStats, _dedup_consecutive
+from repro import obs
 from repro.memsim.engines import set_stack_distances, stack_distances
+from repro.memsim.hierarchy import MemoryStats
 from repro.memsim.machine import MachineModel
 
 __all__ = [
     "CANONICAL_ASSOCS",
+    "TLB_CAP",
     "ConfigFamily",
     "ReuseProfile",
     "build_profile",
-    "multiconfig_enabled",
+    "profile_at_machine_caps",
 ]
 
 #: L1 associativities every profile precomputes L2 histograms for; sweep
 #: grids rarely leave this set, so most queries never force a rebuild.
 CANONICAL_ASSOCS = (1, 2, 4, 8)
 
+#: Smallest TLB-entry cap of a :func:`build_profile` histogram.
+TLB_CAP = 64
+
 #: Bump to invalidate persisted profile artifacts (npz schema).
-_PROFILE_VERSION = 1
-
-
-def multiconfig_enabled() -> bool:
-    """Whether consumers answer stats from shared reuse profiles."""
-    return knobs.flag("REPRO_MULTICONFIG")
+_PROFILE_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,45 +93,38 @@ class ConfigFamily:
         )
 
 
-def _suffix_misses(hist: np.ndarray, cold: int, capacity: int) -> int:
-    """Misses of an LRU(capacity): cold misses plus every access whose
-    stack distance reaches the capacity (histogram suffix sum)."""
-    if capacity >= hist.size:
-        return cold
-    return cold + int(hist[capacity:].sum())
-
-
-def _histogram(sd: np.ndarray) -> tuple[np.ndarray, int]:
-    """(stack-distance histogram, cold-miss count) of a distance array."""
-    warm = sd[sd >= 0]
-    hist = np.bincount(warm).astype(np.int64)
-    return hist, int(sd.size - warm.size)
+def _histogram(sd: np.ndarray, cap: int) -> np.ndarray:
+    """``cap + 1``-bin histogram of a capped distance array."""
+    return np.bincount(sd, minlength=cap + 1).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
 class ReuseProfile:
-    """Stack-distance histograms answering every config of one family."""
+    """Capped stack-distance histograms answering every config of one
+    family; a histogram of ``cap + 1`` bins prices capacities up to
+    ``cap``."""
 
     family: ConfigFamily
     accesses: int
     l1_hist: np.ndarray
-    l1_cold: int
     tlb_hist: np.ndarray
-    tlb_cold: int
-    #: L1 associativity -> (L2 stack-distance histogram, L2 cold misses)
-    #: over the L1-miss-filtered stream of that associativity.
-    l2: dict[int, tuple[np.ndarray, int]]
+    #: L1 associativity -> L2 stack-distance histogram over the
+    #: L1-miss stream of that associativity.
+    l2: dict[int, np.ndarray]
 
     def supports(self, machine: MachineModel) -> bool:
         """Whether :meth:`query` can price this machine exactly."""
+        l2_hist = self.l2.get(machine.l1.assoc)
         return (
             ConfigFamily.of(machine) == self.family
-            and machine.l1.assoc in self.l2
+            and l2_hist is not None
+            and machine.l2.assoc < l2_hist.size
+            and machine.tlb_entries < self.tlb_hist.size
         )
 
     def query(self, machine: MachineModel, include_tlb: bool = True) -> MemoryStats:
         """Exact :class:`MemoryStats` of the profiled stream on
-        ``machine`` — bit-identical to the streaming simulators."""
+        ``machine`` — bit-identical to the :class:`LRUCache` oracle."""
         if not self.supports(machine):
             raise ValueError(
                 f"profile of family {self.family} cannot price {machine.name!r}"
@@ -138,11 +133,11 @@ class ReuseProfile:
         if n == 0:
             return MemoryStats(0, 0, 0, 0, 0.0)
         with obs.span("multiconfig.query", machine=machine.name):
-            l1_misses = _suffix_misses(self.l1_hist, self.l1_cold, machine.l1.assoc)
-            l2_hist, l2_cold = self.l2[machine.l1.assoc]
-            l2_misses = _suffix_misses(l2_hist, l2_cold, machine.l2.assoc)
+            l1_misses = int(self.l1_hist[machine.l1.assoc :].sum())
+            l2_hist = self.l2[machine.l1.assoc]
+            l2_misses = int(l2_hist[machine.l2.assoc :].sum())
             tlb_misses = (
-                _suffix_misses(self.tlb_hist, self.tlb_cold, machine.tlb_entries)
+                int(self.tlb_hist[machine.tlb_entries :].sum())
                 if include_tlb and machine.tlb_entries > 0
                 else 0
             )
@@ -158,21 +153,16 @@ class ReuseProfile:
 
     def save(self, fh) -> None:
         """Write the profile to an open binary file as ``.npz``."""
+        assocs = sorted(self.l2)
         arrays = {
-            "meta": np.array(
-                [_PROFILE_VERSION, self.accesses, self.l1_cold, self.tlb_cold],
-                dtype=np.int64,
-            ),
+            "meta": np.array([_PROFILE_VERSION, self.accesses], dtype=np.int64),
             "family": np.array(dataclasses.astuple(self.family), dtype=np.int64),
             "l1_hist": self.l1_hist,
             "tlb_hist": self.tlb_hist,
-            "l2_assocs": np.array(sorted(self.l2), dtype=np.int64),
-            "l2_cold": np.array(
-                [self.l2[a][1] for a in sorted(self.l2)], dtype=np.int64
-            ),
+            "l2_assocs": np.array(assocs, dtype=np.int64),
         }
-        for assoc in sorted(self.l2):
-            arrays[f"l2_hist_{assoc}"] = self.l2[assoc][0]
+        for assoc in assocs:
+            arrays[f"l2_hist_{assoc}"] = self.l2[assoc]
         np.savez(fh, **arrays)
 
     @classmethod
@@ -183,22 +173,42 @@ class ReuseProfile:
             meta = data["meta"]
             if int(meta[0]) != _PROFILE_VERSION:
                 raise ValueError(f"profile version {int(meta[0])} unsupported")
-            family = ConfigFamily(*(int(v) for v in data["family"]))
-            assocs = [int(a) for a in data["l2_assocs"]]
-            colds = [int(c) for c in data["l2_cold"]]
-            l2 = {
-                a: (data[f"l2_hist_{a}"], cold)
-                for a, cold in zip(assocs, colds)
-            }
             return cls(
-                family=family,
+                family=ConfigFamily(*(int(v) for v in data["family"])),
                 accesses=int(meta[1]),
                 l1_hist=data["l1_hist"],
-                l1_cold=int(meta[2]),
                 tlb_hist=data["tlb_hist"],
-                tlb_cold=int(meta[3]),
-                l2=l2,
+                l2={int(a): data[f"l2_hist_{int(a)}"] for a in data["l2_assocs"]},
             )
+
+
+def _build(
+    addresses: np.ndarray,
+    family: ConfigFamily,
+    assocs: list[int],
+    l1_cap: int,
+    l2_cap: int,
+    tlb_cap: int,
+) -> ReuseProfile:
+    """Profile of ``family`` with L2 histograms for ``assocs`` (each at
+    most ``l1_cap``), at the given caps."""
+    l1_sd = set_stack_distances(addresses // family.l1_line, family.l1_sets, l1_cap)
+    tlb_sd = stack_distances(addresses // family.page, tlb_cap)
+    l2_lines = addresses // family.l2_line
+    l2 = {
+        assoc: _histogram(
+            set_stack_distances(l2_lines[l1_sd >= assoc], family.l2_sets, l2_cap),
+            l2_cap,
+        )
+        for assoc in assocs
+    }
+    return ReuseProfile(
+        family,
+        int(addresses.size),
+        _histogram(l1_sd, l1_cap),
+        _histogram(tlb_sd, tlb_cap),
+        l2,
+    )
 
 
 def build_profile(
@@ -210,32 +220,35 @@ def build_profile(
     reuse-distance profile of ``machine``'s config family.
 
     L2 histograms are built for :data:`CANONICAL_ASSOCS` plus the
-    machine's own L1 associativity plus ``extra_assocs`` — the L1 miss
-    mask of any associativity falls out of the same distance array
-    (``sd < 0 or sd >= a``), so extra associativities cost only their
-    (shorter, miss-filtered) L2 passes.
+    machine's own L1 associativity plus ``extra_assocs``.  L1 and L2
+    distances are capped at the largest of those and the machine's L2
+    associativity, the TLB at ``max(TLB_CAP, machine.tlb_entries)``.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
-    family = ConfigFamily.of(machine)
-    n = int(addresses.size)
-    empty = np.zeros(0, dtype=np.int64)
     assocs = sorted({*CANONICAL_ASSOCS, machine.l1.assoc, *extra_assocs})
-    with obs.span("multiconfig.build", accesses=n, assocs=len(assocs)):
+    cap = max(assocs[-1], machine.l2.assoc)
+    with obs.span("multiconfig.build", accesses=addresses.size, assocs=len(assocs)):
         obs.add("multiconfig.profile_builds")
-        if n == 0:
-            return ReuseProfile(
-                family, 0, empty, 0, empty, 0, {a: (empty, 0) for a in assocs}
-            )
-        sd_l1 = set_stack_distances(addresses // family.l1_line, family.l1_sets)
-        l1_hist, l1_cold = _histogram(sd_l1)
-        pages = _dedup_consecutive(addresses // family.page)
-        tlb_hist, tlb_cold = _histogram(stack_distances(pages))
-        l2_lines = addresses // family.l2_line
-        l2: dict[int, tuple[np.ndarray, int]] = {}
-        for assoc in assocs:
-            miss_mask = (sd_l1 < 0) | (sd_l1 >= assoc)
-            sd_l2 = set_stack_distances(l2_lines[miss_mask], family.l2_sets)
-            l2[assoc] = _histogram(sd_l2)
-        return ReuseProfile(
-            family, n, l1_hist, l1_cold, tlb_hist, tlb_cold, l2
+        return _build(
+            addresses,
+            ConfigFamily.of(machine),
+            assocs,
+            cap,
+            cap,
+            max(TLB_CAP, machine.tlb_entries),
         )
+
+
+def profile_at_machine_caps(
+    addresses: np.ndarray, machine: MachineModel
+) -> ReuseProfile:
+    """The profile of one machine only: distances capped at its own
+    associativities and TLB size, one L2 pass."""
+    return _build(
+        np.asarray(addresses, dtype=np.int64),
+        ConfigFamily.of(machine),
+        [machine.l1.assoc],
+        machine.l1.assoc,
+        machine.l2.assoc,
+        machine.tlb_entries,
+    )

@@ -33,6 +33,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,7 @@ import numpy as np
 from repro import knobs, obs
 from repro.memsim.hierarchy import MemoryStats, simulate_hierarchy
 from repro.memsim.machine import MachineModel
-from repro.memsim.multiconfig import (
-    ConfigFamily,
-    ReuseProfile,
-    build_profile,
-    multiconfig_enabled,
-)
+from repro.memsim.multiconfig import ConfigFamily, ReuseProfile, build_profile
 from repro.memsim.synthesis import (
     EventTable,
     UnsupportedSynthesis,
@@ -72,6 +68,10 @@ __all__ = [
 
 # Bump to invalidate every cached artifact (key prefix).
 _STORE_VERSION = 1
+
+# What loading an empty, truncated or foreign artifact raises; every one
+# of them is a cache miss and the artifact is rebuilt.
+_DAMAGED = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 
 def _repo_root() -> Path:
@@ -215,7 +215,7 @@ class TraceStore:
         if path.exists():
             try:
                 arr = np.load(path)
-            except (OSError, ValueError):
+            except _DAMAGED:
                 pass  # corrupt/partial file: fall through and rebuild
             else:
                 self.trace_hits += 1
@@ -236,9 +236,10 @@ class TraceStore:
 
         The key covers only the trace identity and the family — every
         machine model differing in capacity, associativity or cycle
-        costs answers from the same artifact.  A persisted profile
-        missing the machine's L1 associativity counts as a miss and is
-        rebuilt with the union of associativities.
+        costs answers from the same artifact.  A persisted profile that
+        cannot price the machine (its L1 associativity is missing, or an
+        associativity or TLB size exceeds the profile's caps) counts as
+        a miss and is rebuilt with the union of L1 associativities.
         """
         key = self.key_of(
             {
@@ -256,7 +257,7 @@ class TraceStore:
                 try:
                     with open(path, "rb") as fh:
                         prof = ReuseProfile.load(fh)
-                except (OSError, ValueError, KeyError):
+                except _DAMAGED:
                     prof = None  # corrupt/partial file: rebuild below
         if prof is not None and prof.supports(machine):
             self.profile_hits += 1
@@ -293,24 +294,17 @@ class TraceStore:
         """Simulated :class:`MemoryStats` for ``fields``, memoized on disk.
 
         On a stats hit neither the trace expansion nor the simulation
-        runs.  On a stats miss the trace itself still goes through
-        :meth:`trace`, so a second geometry sharing the expansion
-        fingerprint reuses the address file — and with
-        ``REPRO_MULTICONFIG`` on, the miss is answered from the shared
-        reuse-distance profile (:meth:`profile`) instead of a streaming
-        replay, so a second machine model in the same config family
-        costs only a histogram suffix sum.  Both paths produce
-        bit-identical :class:`MemoryStats` (property-tested), so either
-        may fill a stats slot the other reads and ``_STORE_VERSION``
-        stays put.
+        runs.  On a stats miss the stats are answered from the shared
+        reuse-distance profile (:meth:`profile`), so a second machine
+        model in the same config family costs only a histogram suffix
+        sum.  A disabled store prices the trace with
+        :func:`simulate_hierarchy` (the profile at the machine's own
+        caps); both produce bit-identical :class:`MemoryStats`
+        (property-tested against the :class:`LRUCache` oracle).
         """
         if not self.enabled:
             addrs = np.asarray(build_trace(), dtype=np.int64)
-            if multiconfig_enabled():
-                prof = build_profile(addrs, machine)
-                st = prof.query(machine, include_tlb=include_tlb)
-            else:
-                st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
+            st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
             st.publish()
             return st
         key = self.key_of(
@@ -336,14 +330,9 @@ class TraceStore:
                 return st
         self.stats_misses += 1
         self._touch("stats", key, hit=False)
-        if multiconfig_enabled():
-            prof = self.profile(fields, machine, build_trace)
-            with obs.span("store.stats.simulate", key=key[:16], **fields):
-                st = prof.query(machine, include_tlb=include_tlb)
-        else:
-            addrs = self.trace(fields, machine, build_trace)
-            with obs.span("store.stats.simulate", key=key[:16], **fields):
-                st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
+        prof = self.profile(fields, machine, build_trace)
+        with obs.span("store.stats.simulate", key=key[:16], **fields):
+            st = prof.query(machine, include_tlb=include_tlb)
         blob = json.dumps(dataclasses.asdict(st))
         self._write_atomic(path, lambda tmp: tmp.write_text(blob))
         st.publish()

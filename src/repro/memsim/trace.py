@@ -294,10 +294,8 @@ def expand_trace_chunks(
 
     Yields int64 address arrays whose concatenation equals
     :func:`expand_trace`'s output, holding at most ``max_elements``
-    addresses (plus one event's expansion) at a time — multi-hundred-
-    million-access traces never materialize whole.  Feed the chunks to
-    :class:`repro.memsim.hierarchy.HierarchySimulator` for bounded-
-    memory simulation.
+    addresses (plus one event's expansion) at a time; :func:`expand_trace`
+    concatenates them.
 
     ``events`` may also be a :class:`repro.memsim.synthesis.EventTable`
     (the structure-of-arrays representation the symbolic synthesizer

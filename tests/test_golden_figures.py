@@ -126,22 +126,23 @@ def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("multiconfig", ["1", "0"])
+@pytest.mark.parametrize("cache", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
-def test_golden_multiconfig_toggle(name, multiconfig, jobs, monkeypatch, request):
-    """Goldens hold byte-identical with the shared reuse-distance
-    profiles on (default) and off (per-config streaming oracle),
-    serially and under a 2-worker pool.
+def test_golden_multiconfig_toggle(name, cache, jobs, monkeypatch, request, tmp_path):
+    """Goldens hold byte-identical under both cap policies of the
+    stack-distance engine, serially and under a 2-worker pool.
 
-    The trace cache is disabled so each leg simulates every point
-    through the selected engine instead of replaying stored stats.
+    With the trace cache on (an empty store per leg), every point is
+    priced from the store's multi-config profile; with it off, from
+    :func:`simulate_hierarchy` capped at the machine's own
+    associativities and TLB size.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
     from repro.memsim import store as store_mod
 
-    monkeypatch.setenv("REPRO_MULTICONFIG", multiconfig)
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", cache)
+    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "store"))
     monkeypatch.setattr(store_mod, "_DEFAULT", None)
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"

@@ -1,6 +1,6 @@
-"""Vectorized memory-system engines vs. the scalar oracles.
+"""The capped stack-distance engine's hit/miss masks vs. the scalar oracles.
 
-The batched engines in :mod:`repro.memsim.engines` must be *bit-exact*
+The masks over :mod:`repro.memsim.engines` must be *bit-exact*
 replacements for the reference simulators (:class:`LRUCache` and a dict
 LRU walk): every test here asserts full miss-mask equality, not summary
 statistics, across associativities 1, 2, 4, 8 and fully-associative,
@@ -10,26 +10,19 @@ exercise the scalar fallback.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim import engines
 from repro.memsim.cache import LRUCache, miss_count, simulate_lru
 from repro.memsim.engines import (
-    fully_associative_hits,
     lru_hit_mask,
     prev_occurrence,
-    set_associative_miss_lines,
+    set_stack_distances,
     simulate_set_associative,
     stable_argsort_bounded,
+    stack_distances,
 )
-from repro.memsim.hierarchy import (
-    HierarchySimulator,
-    simulate_hierarchy,
-    simulate_hierarchy_chunked,
-)
-from repro.memsim.machine import CacheGeometry, modern_like, ultrasparc_like
-from repro.memsim.synthetic import dense_standard_events
+from repro.memsim.machine import CacheGeometry, ultrasparc_like
 from repro.memsim.trace import expand_trace, expand_trace_chunks, trace_multiply
 
 
@@ -83,10 +76,10 @@ class TestFullyAssociative:
         assert got.tolist() == [False, True, False, False, False, True]
 
     def test_alias(self):
-        keys = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-        assert np.array_equal(
-            fully_associative_hits(keys, 3), lru_hit_mask(keys, 3)
-        )
+        # The mask is a view of the capped engine, not a second algorithm.
+        keys = np.array([0, 1, 2, 0, 1, 2, 3, 0], dtype=np.int64)
+        assert np.array_equal(lru_hit_mask(keys, 3), stack_distances(keys, 3) < 3)
+        assert lru_hit_mask(keys, 3).tolist() == [False] * 3 + [True] * 3 + [False] * 2
 
     def test_locality_stream(self):
         # Mixed reuse distances crossing every decision tier.
@@ -106,8 +99,9 @@ class TestFullyAssociative:
 
 class TestScalarFallback:
     def test_forced_fallback_is_exact(self, monkeypatch):
-        # Shrink the residual budget so the capped dict walk runs.
-        monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 8)
+        # A zero budget (gathered elements per access) sends every
+        # residual window to the capped stack walk.
+        monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 0)
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 300, 4000).astype(np.int64)
         for cap in (4, 32, 128):
@@ -145,7 +139,7 @@ class TestSetAssociative:
     @settings(max_examples=40, deadline=None)
     def test_single_set_is_fully_associative(self, lines):
         arr = np.array(lines, dtype=np.int64)
-        miss = set_associative_miss_lines(arr, 1, 16)
+        miss = set_stack_distances(arr, 1, 16) >= 16
         assert np.array_equal(~miss, oracle_fa_hits(lines, 16))
 
     def test_miss_count_dispatch(self):
@@ -196,32 +190,6 @@ class TestPrimitives:
 
 
 class TestChunkedEquivalence:
-    def _random_chunks(self, arr, rng):
-        cuts = np.sort(rng.integers(0, arr.size + 1, 5))
-        return [c for c in np.split(arr, cuts)]
-
-    @pytest.mark.parametrize("machine", [ultrasparc_like(), modern_like()])
-    def test_chunked_matches_oneshot(self, machine, rng):
-        addresses = np.concatenate(
-            [
-                rng.integers(0, 1 << 18, 4000),
-                np.tile(np.arange(0, 1 << 13, 32), 4),
-            ]
-        ).astype(np.int64)
-        one = simulate_hierarchy(addresses, machine)
-        chunked = simulate_hierarchy_chunked(
-            self._random_chunks(addresses, rng), machine
-        )
-        assert one == chunked
-
-    def test_feed_accumulates(self, rng):
-        machine = ultrasparc_like()
-        addresses = rng.integers(0, 1 << 16, 3000).astype(np.int64)
-        sim = HierarchySimulator(machine)
-        for chunk in np.split(addresses, [100, 101, 2000]):
-            sim.feed(chunk)
-        assert sim.stats() == simulate_hierarchy(addresses, machine)
-
     def test_expand_trace_chunks_concat(self):
         machine = ultrasparc_like()
         events, sizes = trace_multiply("standard", "LZ", 64, 16)
@@ -232,12 +200,3 @@ class TestChunkedEquivalence:
         assert len(chunks) > 1
         assert all(c.size <= 1000 + 3 * whole.size // len(events) for c in chunks)
         assert np.array_equal(np.concatenate(chunks), whole)
-
-    def test_streaming_pipeline_end_to_end(self):
-        machine = ultrasparc_like()
-        events = dense_standard_events(48, 8)
-        whole = simulate_hierarchy(expand_trace(events, machine), machine)
-        streamed = simulate_hierarchy_chunked(
-            expand_trace_chunks(events, machine, max_elements=512), machine
-        )
-        assert whole == streamed

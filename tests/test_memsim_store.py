@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import knobs
 from repro.memsim import store as store_mod
 from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import modern_like, scaled, ultrasparc_like
@@ -86,13 +85,10 @@ class TestKeys:
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, m2, store=store)
         assert store.trace_misses == 1
         assert store.stats_misses == 2
-        if knobs.flag("REPRO_MULTICONFIG"):
-            # The second machine answers from the warm reuse-distance
-            # profile without even touching the trace artifact.
-            assert store.trace_hits == 0
-            assert store.profile_misses == 1 and store.profile_hits == 1
-        else:
-            assert store.trace_hits == 1
+        # The second machine answers from the warm reuse-distance
+        # profile without even touching the trace artifact.
+        assert store.trace_hits == 0
+        assert store.profile_misses == 1 and store.profile_hits == 1
         assert s1.l1_misses == s2.l1_misses and s1.cycles != s2.cycles
 
     def test_machine_geometry_splits_stats(self, store):
@@ -131,6 +127,30 @@ class TestRobustness:
         s = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         assert store.stats_misses == 2
         assert s.accesses > 0
+
+    @pytest.mark.parametrize(
+        "suffix, damage",
+        [
+            (".npy", lambda blob: b""),
+            (".npz", lambda blob: b""),
+            (".npz", lambda blob: blob[: len(blob) // 2]),
+        ],
+        ids=["empty-npy", "empty-npz", "half-npz"],
+    )
+    def test_damaged_artifact_is_rebuilt(self, tmp_path, suffix, damage):
+        first = TraceStore(root=tmp_path, enabled=True)
+        trace = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=first)
+        stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=first)
+        for js in tmp_path.rglob("*.json"):
+            js.unlink()  # force the next stats call through the profile
+        (path,) = list(tmp_path.rglob("*" + suffix))
+        path.write_bytes(damage(path.read_bytes()))
+        store = TraceStore(root=tmp_path, enabled=True)
+        again = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
+        assert np.array_equal(again, trace)
+        assert cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store) == stats
+        assert store.trace_misses + store.profile_misses == 1
+        assert path.stat().st_size > 0
 
     def test_reset_counters(self, store):
         cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)

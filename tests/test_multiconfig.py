@@ -1,13 +1,15 @@
-"""Multi-config reuse-distance profiles vs. the streaming simulators.
+"""Capped stack distances and multi-config reuse profiles vs. the oracles.
 
-The whole point of :mod:`repro.memsim.multiconfig` is that one profile
-answers *every* LRU configuration of a set family with the exact same
-numbers the per-config streaming engines produce.  Every test here
-asserts full equality of :class:`MemoryStats` (integers and the float
-cycle total), not summary statistics, across random traces and
-(associativity, set count, block size, capacity) grids — plus the
-chunk-boundary, single-set and degenerate edge cases, and the forced
-scalar fallback of the stack-distance kernel.
+The capped engine (:func:`repro.memsim.engines.stack_distances`) must
+return exactly ``min(sd, cap)`` per access, a first touch counting as
+``cap``, and one :class:`ReuseProfile` must answer *every* LRU
+configuration of a set family with the exact numbers a per-access
+:class:`LRUCache` hierarchy (L1, then L2 on the L1-miss stream, then a
+one-set TLB) produces.  Every test here asserts full equality — whole
+distance arrays, or :class:`MemoryStats` integers and the float cycle
+total — across random traces and (associativity, set count, TLB size)
+grids, plus cyclic at-capacity thrash, the forced ``_RESIDUAL_BUDGET``
+walk, and the single-set and degenerate edge cases.
 """
 
 import io
@@ -18,16 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim import engines
-from repro.memsim.engines import (
-    _scalar_stack_distances,
-    set_stack_distances,
-    stack_distances,
-)
-from repro.memsim.hierarchy import (
-    simulate_hierarchy,
-    simulate_hierarchy_chunked,
-    simulate_hierarchy_multi,
-)
+from repro.memsim.cache import LRUCache, simulate_lru
+from repro.memsim.engines import set_stack_distances, stack_distances
+from repro.memsim.hierarchy import MemoryStats, simulate_hierarchy
 from repro.memsim.machine import (
     CacheGeometry,
     MachineModel,
@@ -41,18 +36,67 @@ from repro.memsim.multiconfig import (
     ConfigFamily,
     ReuseProfile,
     build_profile,
+    profile_at_machine_caps,
 )
 
+#: Caps every distance oracle comparison runs at.
+CAPS = (1, 2, 3, 8, 64)
 
-def oracle_stack_distances(keys):
-    """Brute-force per-access distinct-count oracle (ground truth)."""
-    out = np.full(len(keys), -1, dtype=np.int32)
+
+def oracle_stack_distances(keys, cap):
+    """Brute-force capped distinct-count oracle (ground truth)."""
+    out = np.full(len(keys), cap, dtype=np.int32)
     last = {}
     for i, k in enumerate(keys):
         if k in last:
-            out[i] = len(set(keys[last[k] + 1 : i]))
+            out[i] = min(cap, len(set(keys[last[k] + 1 : i])))
         last[k] = i
     return out
+
+
+def oracle_fa_hits(keys, capacity):
+    """Dict-based fully-associative LRU hit mask (ground truth)."""
+    stack: dict[int, None] = {}
+    out = np.zeros(len(keys), dtype=bool)
+    for i, k in enumerate(keys):
+        if k in stack:
+            del stack[k]
+            out[i] = True
+        elif len(stack) >= capacity:
+            del stack[next(iter(stack))]
+        stack[k] = None
+    return out
+
+
+def oracle_hierarchy(addresses, machine, include_tlb=True):
+    """Per-access :class:`LRUCache` hierarchy priced like the model."""
+    l1, l2 = LRUCache(machine.l1), LRUCache(machine.l2)
+    tlb = None
+    if include_tlb and machine.tlb_entries > 0:
+        entries = machine.tlb_entries
+        tlb = LRUCache(CacheGeometry(entries * machine.page, machine.page, entries))
+    l1_misses = l2_misses = tlb_misses = 0
+    for a in (int(x) for x in addresses):
+        if l1.access(a):
+            l1_misses += 1
+            l2_misses += l2.access(a)
+        if tlb is not None:
+            tlb_misses += tlb.access(a)
+    n = len(addresses)
+    cycles = (
+        n * machine.l1_hit
+        + l1_misses * machine.l2_hit
+        + l2_misses * machine.mem
+        + tlb_misses * machine.tlb_miss
+    )
+    return MemoryStats(n, l1_misses, l2_misses, tlb_misses, cycles)
+
+
+def assert_priced_like_oracle(prof, addresses, machine, include_tlb=True):
+    """Profile query and simulate_hierarchy both equal the oracle."""
+    want = oracle_hierarchy(addresses, machine, include_tlb=include_tlb)
+    assert prof.query(machine, include_tlb=include_tlb) == want
+    assert simulate_hierarchy(addresses, machine, include_tlb=include_tlb) == want
 
 
 key_lists = st.lists(st.integers(0, 40), min_size=0, max_size=300)
@@ -72,102 +116,120 @@ def family_machine(l1_assoc=1, l2_assoc=1, tlb_entries=16):
 
 
 class TestStackDistances:
-    @given(key_lists)
+    @given(key_lists, st.sampled_from(CAPS))
     @settings(max_examples=80, deadline=None)
-    def test_matches_oracle(self, keys):
-        arr = np.array(keys, dtype=np.int64)
-        assert np.array_equal(stack_distances(arr), oracle_stack_distances(keys))
-
-    @given(key_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_scalar_fallback_matches_oracle(self, keys):
+    def test_matches_oracle(self, keys, cap):
         arr = np.array(keys, dtype=np.int64)
         assert np.array_equal(
-            _scalar_stack_distances(arr), oracle_stack_distances(keys)
+            stack_distances(arr, cap), oracle_stack_distances(keys, cap)
         )
+
+    @given(key_lists, st.sampled_from(CAPS))
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_fallback_matches_oracle(self, keys, cap):
+        # A zero budget sends every counted window to the capped walk.
+        arr = np.array(keys, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engines, "_RESIDUAL_BUDGET", 0)
+            got = stack_distances(arr, cap)
+        assert np.array_equal(got, oracle_stack_distances(keys, cap))
 
     @given(key_lists, st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_capacity_sweep_matches_lru_mask(self, keys, capacity):
-        # One distance array answers every capacity: sd < C iff LRU(C) hit.
-        arr = np.array(keys, dtype=np.int64)
-        sd = stack_distances(arr)
-        hits = (sd >= 0) & (sd < capacity)
-        assert np.array_equal(hits, engines.lru_hit_mask(arr, capacity))
+        # One array capped at 64 answers every capacity up to 64.
+        sd = stack_distances(np.array(keys, dtype=np.int64), 64)
+        assert np.array_equal(sd < capacity, oracle_fa_hits(keys, capacity))
 
     @given(st.integers(2, 30), st.integers(1, 35), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_cyclic_thrash_chains(self, capacity, period, reps):
-        # Lockstep-chain tier: loop streams straddling capacity.
+        # Lockstep-chain tier: loop streams straddling the cap.
         keys = np.tile(np.arange(period, dtype=np.int64), reps * 4)
-        sd = stack_distances(keys)
-        assert np.array_equal(sd, oracle_stack_distances(keys.tolist()))
-        hits = (sd >= 0) & (sd < capacity)
-        assert np.array_equal(hits, engines.lru_hit_mask(keys, capacity))
+        for cap in (*CAPS, capacity):
+            assert np.array_equal(
+                stack_distances(keys, cap),
+                oracle_stack_distances(keys.tolist(), cap),
+            )
 
     def test_forced_scalar_fallback_path(self, monkeypatch):
         rng = np.random.default_rng(7)
-        keys = rng.integers(0, 500, 4000)
-        want = stack_distances(keys)
-        monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 1)
-        assert np.array_equal(stack_distances(keys), want)
+        keys = np.concatenate(
+            [rng.integers(0, 500, 4000), np.tile(np.arange(40), 30)]
+        ).astype(np.int64)
+        want = {cap: oracle_stack_distances(keys.tolist(), cap) for cap in CAPS}
+        walked = []
+        walk = engines._scalar_capped
+        monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 0)
+        monkeypatch.setattr(
+            engines,
+            "_scalar_capped",
+            lambda keys, idx, cap: walked.append(cap) or walk(keys, idx, cap),
+        )
+        for cap in CAPS:
+            assert np.array_equal(stack_distances(keys, cap), want[cap])
+        # The residual of the larger caps really took the walk.
+        assert {8, 64} <= set(walked)
 
     def test_empty_and_degenerate(self):
-        assert stack_distances(np.zeros(0, dtype=np.int64)).size == 0
+        assert stack_distances(np.zeros(0, dtype=np.int64), 8).size == 0
         same = np.zeros(50, dtype=np.int64)
-        sd = stack_distances(same)
-        assert sd[0] == -1 and (sd[1:] == 0).all()
+        for cap in CAPS:
+            sd = stack_distances(same, cap)
+            assert sd[0] == cap and (sd[1:] == 0).all()
+        assert not stack_distances(np.arange(10), 0).any()
+        with pytest.raises(ValueError):
+            stack_distances(same, -1)
 
 
 class TestSetStackDistances:
     @given(key_lists, st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3, 8]))
     @settings(max_examples=60, deadline=None)
     def test_any_assoc_matches_streaming_engine(self, lines, n_sets, assoc):
+        # One array capped at 8 answers every associativity up to 8 of
+        # the (line, n_sets) family, per-access LRUCache as the oracle.
+        line = 32
         arr = np.array(lines, dtype=np.int64)
-        sd = set_stack_distances(arr, n_sets)
-        miss = (sd < 0) | (sd >= assoc)
-        assert np.array_equal(
-            miss, engines.set_associative_miss_lines(arr, n_sets, assoc)
-        )
+        miss = set_stack_distances(arr, n_sets, 8) >= assoc
+        geom = CacheGeometry(line * assoc * n_sets, line, assoc)
+        assert np.array_equal(miss, simulate_lru(arr * line, geom))
 
     def test_single_set_is_fully_associative(self):
         rng = np.random.default_rng(3)
         lines = rng.integers(0, 30, 500)
-        assert np.array_equal(
-            set_stack_distances(lines, 1), stack_distances(lines)
-        )
+        for cap in CAPS:
+            assert np.array_equal(
+                set_stack_distances(lines, 1, cap), stack_distances(lines, cap)
+            )
 
 
 class TestProfileVsStreaming:
+    """Profiles and simulate_hierarchy against the per-access oracle."""
+
     @given(
         st.lists(st.integers(0, 1 << 12), min_size=0, max_size=250),
         st.sampled_from([1, 2, 4, 8]),
-        st.sampled_from([1, 2, 4]),
-        st.sampled_from([0, 3, 16]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([0, 3, 16, 64]),
     )
     @settings(max_examples=50, deadline=None)
     def test_random_traces_any_config(self, words, l1a, l2a, tlb):
         addresses = np.array(words, dtype=np.int64) * 8
-        base = family_machine()
-        prof = build_profile(addresses, base, extra_assocs=(1, 2, 4, 8))
+        prof = build_profile(addresses, family_machine())
         machine = family_machine(l1a, l2a, tlb)
         for include_tlb in (True, False):
-            assert prof.query(machine, include_tlb=include_tlb) == (
-                simulate_hierarchy(addresses, machine, include_tlb=include_tlb)
-            )
+            assert_priced_like_oracle(prof, addresses, machine, include_tlb)
 
     def test_full_family_grid_from_one_build(self):
         rng = np.random.default_rng(11)
         addresses = (rng.integers(0, 1 << 13, 6000) * 8).astype(np.int64)
-        prof = build_profile(
-            addresses, family_machine(), extra_assocs=(2, 4, 8)
-        )
+        prof = build_profile(addresses, family_machine())
         for l1a, l2a, tlb in itertools.product(
-            (1, 2, 4, 8), (1, 2, 4), (0, 4, 16)
+            (1, 2, 4, 8), (1, 2, 4, 8), (0, 4, 16, 64)
         ):
             machine = family_machine(l1a, l2a, tlb)
             assert prof.supports(machine)
-            assert prof.query(machine) == simulate_hierarchy(addresses, machine)
+            assert_priced_like_oracle(prof, addresses, machine)
 
     @pytest.mark.parametrize(
         "factory", [ultrasparc_like, modern_like, scaled, assoc_scaled]
@@ -176,34 +238,12 @@ class TestProfileVsStreaming:
         rng = np.random.default_rng(13)
         addresses = (rng.integers(0, 1 << 17, 20000) * 8).astype(np.int64)
         machine = factory()
-        prof = build_profile(addresses, machine)
-        assert prof.query(machine) == simulate_hierarchy(addresses, machine)
-
-    def test_matches_chunked_simulation(self):
-        # Chunk boundaries are the streaming path's hardest invariant;
-        # the profile must agree with the chunked simulator too.
-        rng = np.random.default_rng(17)
-        addresses = (rng.integers(0, 1 << 12, 5000) * 8).astype(np.int64)
-        machine = family_machine(2, 2, 8)
-        prof = build_profile(addresses, machine)
-        chunks = np.array_split(addresses, 7)
-        assert prof.query(machine) == simulate_hierarchy_chunked(chunks, machine)
-
-    def test_multi_entrypoint_and_knob_off(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        addresses = (rng.integers(0, 1 << 12, 3000) * 8).astype(np.int64)
-        machines = [family_machine(a, b, 8) for a in (1, 4) for b in (1, 2)]
-        want = [simulate_hierarchy(addresses, m) for m in machines]
-        assert simulate_hierarchy_multi(addresses, machines) == want
-        monkeypatch.setenv("REPRO_MULTICONFIG", "0")
-        assert simulate_hierarchy_multi(addresses, machines) == want
+        assert_priced_like_oracle(build_profile(addresses, machine), addresses, machine)
 
     def test_empty_trace(self):
         machine = family_machine()
-        prof = build_profile(np.zeros(0, dtype=np.int64), machine)
-        assert prof.query(machine) == simulate_hierarchy(
-            np.zeros(0, dtype=np.int64), machine
-        )
+        addresses = np.zeros(0, dtype=np.int64)
+        assert_priced_like_oracle(build_profile(addresses, machine), addresses, machine)
 
     def test_single_address_and_same_address(self):
         machine = family_machine()
@@ -212,15 +252,27 @@ class TestProfileVsStreaming:
             np.full(100, 4096, dtype=np.int64),
         ):
             prof = build_profile(addresses, machine)
-            assert prof.query(machine) == simulate_hierarchy(addresses, machine)
+            assert_priced_like_oracle(prof, addresses, machine)
 
     def test_assoc_above_distinct_lines_never_misses_warm(self):
         addresses = np.tile(np.arange(4, dtype=np.int64) * 16, 50)
         machine = family_machine(8, 4, 16)  # 8-way: 4 lines always fit
         prof = build_profile(addresses, machine)
-        st_ = prof.query(machine)
-        assert st_ == simulate_hierarchy(addresses, machine)
-        assert st_.l1_misses == 4  # cold misses only
+        assert_priced_like_oracle(prof, addresses, machine)
+        assert prof.query(machine).l1_misses == 4  # cold misses only
+
+    def test_machine_caps_profile_prices_only_its_machine(self):
+        rng = np.random.default_rng(29)
+        addresses = (rng.integers(0, 1 << 12, 3000) * 8).astype(np.int64)
+        machine = family_machine(2, 4, 3)
+        prof = profile_at_machine_caps(addresses, machine)
+        assert list(prof.l2) == [2]
+        assert prof.l1_hist.size == 3 and prof.l2[2].size == 5
+        assert prof.tlb_hist.size == 4
+        assert_priced_like_oracle(prof, addresses, machine)
+        assert not prof.supports(family_machine(4, 4, 3))
+        assert not prof.supports(family_machine(2, 8, 3))
+        assert not prof.supports(family_machine(2, 4, 16))
 
 
 class TestProfileObject:
@@ -239,6 +291,19 @@ class TestProfileObject:
         odd = family_machine(l1_assoc=3)
         assert 3 not in prof.l2 and not prof.supports(odd)
 
+    def test_caps_bound_the_supported_grid(self):
+        prof = build_profile(np.arange(100, dtype=np.int64) * 8, family_machine())
+        assert prof.l1_hist.size == max(CANONICAL_ASSOCS) + 1
+        assert prof.tlb_hist.size == 65
+        assert not prof.supports(family_machine(l2_assoc=16))
+        assert not prof.supports(family_machine(tlb_entries=128))
+        wide = build_profile(
+            np.arange(100, dtype=np.int64) * 8,
+            family_machine(l2_assoc=16, tlb_entries=128),
+            extra_assocs=(16,),
+        )
+        assert wide.supports(family_machine(16, 16, 128))
+
     def test_npz_roundtrip(self):
         rng = np.random.default_rng(23)
         addresses = (rng.integers(0, 1 << 12, 2000) * 8).astype(np.int64)
@@ -254,6 +319,13 @@ class TestProfileObject:
         for a in (1, 2, 4, 8):
             m = family_machine(a, 2, 8)
             assert loaded.query(m) == prof.query(m)
+
+    def test_version_skew_rejected(self):
+        buf = io.BytesIO()
+        np.savez(buf, meta=np.array([1, 0, 0, 0], dtype=np.int64))
+        buf.seek(0)
+        with pytest.raises(ValueError):
+            ReuseProfile.load(buf)
 
     def test_canonical_assocs_precomputed(self):
         machine = family_machine()

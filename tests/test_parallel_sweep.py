@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import repro.analysis.parallel as par
-from repro import knobs, obs
+from repro import obs
 from repro.analysis.parallel import (
     POINT_FUNCTIONS,
     SweepPoint,
@@ -231,11 +231,10 @@ class TestGrouping:
         payloads = par._worker_call_batch(batch)
         assert [pl["index"] for pl in payloads] == [p.index for p in batch]
         assert payloads[0]["row"] == run_point(batch[0])
-        if knobs.flag("REPRO_MULTICONFIG"):
-            # Co-location pays: the second member answers from the warm
-            # profile without ever reloading the trace artifact.
-            assert payloads[1]["store_counters"]["profile_hits"] == 1
-            assert payloads[1]["store_counters"]["trace_hits"] == 0
+        # Co-location pays: the second member answers from the warm
+        # profile without ever reloading the trace artifact.
+        assert payloads[1]["store_counters"]["profile_hits"] == 1
+        assert payloads[1]["store_counters"]["trace_hits"] == 0
 
     def test_grouped_pool_matches_serial(self, fresh_store):
         serial = run_sweep(GRIDS["fig6ms"], jobs=1)
