@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import conversion_accounting
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 from repro.matrix.convert import from_tiled, to_tiled
 from repro.matrix.tile import Tiling
 
@@ -48,14 +48,7 @@ def test_e9_conversion_fraction_table(benchmark):
     )
     register_table(
         "E9: conversion cost as a fraction of end-to-end dgemm (standard/LZ)",
-        format_table(
-            ["n", "total (s)", "conversion (s)", "fraction", "passes"],
-            [
-                [r["n"], r["total_seconds"], r["conversion_seconds"],
-                 r["conversion_fraction"], r["conversions"]]
-                for r in rows
-            ],
-        ),
+        FIGURES["conversion"].table(rows),
     )
     # Conversion is real but bounded: a fixed number of O(n^2) passes
     # against O(n^3) compute.  (The *fraction* at these sizes hovers

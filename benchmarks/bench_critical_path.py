@@ -9,7 +9,7 @@ scheduler is timed on a real traced computation.
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import critical_path_table
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 from repro.runtime.critical import work_span
 from repro.runtime.scheduler import work_stealing_makespan
 
@@ -18,14 +18,7 @@ def test_e7_critical_path_table(benchmark):
     rows = benchmark(critical_path_table, 1024, 32)
     register_table(
         "E7: work/span at n=1024, t=32 (paper: parallelism ~40 std, ~23 fast)",
-        format_table(
-            ["algorithm", "work", "span", "parallelism", "speedup@4"],
-            [
-                [r["algorithm"], r["work"], r["span"], r["parallelism"],
-                 r["speedup_at_4"]]
-                for r in rows
-            ],
-        ),
+        FIGURES["critical"].table(rows),
     )
     by = {r["algorithm"]: r for r in rows}
     assert by["standard"]["parallelism"] > by["strassen"]["parallelism"]

@@ -9,21 +9,13 @@ import numpy as np
 from benchmarks.conftest import register_table
 from repro.algorithms.locality import footprint_counts
 from repro.analysis.experiments import fig1_locality
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 
 
 def test_fig1_footprints(benchmark):
     rows = benchmark(fig1_locality, 8)
     register_table(
-        "Figure 1: footprints per C element (8x8)",
-        format_table(
-            ["algorithm", "input", "min", "mean", "max", "argmax", "diag mean"],
-            [
-                [r["algorithm"], r["input"], r["min"], r["mean"], r["max"],
-                 str(r["argmax"]), r["diag_mean"]]
-                for r in rows
-            ],
-        ),
+        "Figure 1: footprints per C element (8x8)", FIGURES["fig1"].table(rows)
     )
     by = {(r["algorithm"], r["input"]): r for r in rows}
     # Paper-shape assertions.

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import fig2_layouts
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 from repro.layouts.registry import PAPER_LAYOUTS, get_layout
 
 ORDER = 9  # 512 x 512 tile positions per call
@@ -40,10 +40,7 @@ def test_fig2_dilation_table(benchmark):
     rows = benchmark(fig2_layouts, 4)
     register_table(
         "Figure 2: layout dilation statistics (16x16 grid)",
-        format_table(
-            ["layout", "mean jump", "max jump", "unit fraction"],
-            [[r["layout"], r["mean"], r["max"], r["unit_fraction"]] for r in rows],
-        ),
+        FIGURES["fig2"].table(rows),
     )
     by = {r["layout"]: r for r in rows}
     # Jumps get less pronounced as orientations increase (Section 3.4).

@@ -13,6 +13,7 @@ import pytest
 from benchmarks.conftest import register_table
 from repro.algorithms.dgemm import dgemm
 from repro.analysis.experiments import fig4_tile_size_sweep, slowdown_vs_native
+from repro.analysis.figures import FIGURES
 from repro.analysis.report import ascii_plot, format_table
 
 N = 256
@@ -36,13 +37,7 @@ def test_fig4_sweep_table(benchmark):
         rounds=1,
         iterations=1,
     )
-    table = format_table(
-        ["tile", "seconds", "sim cycles/flop", "L1 miss rate"],
-        [
-            [r["tile"], r["seconds"], r["sim_cycles_per_flop"], r["l1_miss_rate"]]
-            for r in rows
-        ],
-    )
+    table = FIGURES["fig4"].table(rows)
     plot = ascii_plot(
         {"seconds": [r["seconds"] for r in rows]},
         x=TILES,

@@ -10,6 +10,7 @@ temporaries halve the leading dimension every level).
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import fig5_robustness
+from repro.analysis.figures import FIGURES
 from repro.analysis.report import ascii_plot, format_table
 from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import ultrasparc_like
@@ -38,9 +39,7 @@ def test_fig5_robustness_table(benchmark):
         rounds=1,
         iterations=1,
     )
-    table = format_table(
-        ["n"] + KEYS, [[r["n"]] + [r[k] for k in KEYS] for r in rows]
-    )
+    table = FIGURES["fig5"].table(rows)
     series = {k: [r[k] for r in rows] for k in KEYS}
     plot = ascii_plot(series, x=N_VALUES, title="sim memory cycles per flop")
     rel = lambda xs: (max(xs) - min(xs)) / min(xs)  # noqa: E731

@@ -14,7 +14,7 @@ import pytest
 from benchmarks.conftest import register_table
 from repro.algorithms.dgemm import dgemm
 from repro.analysis.experiments import fig6_layout_comparison, fig6_simulated
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 from repro.layouts.registry import PAPER_LAYOUTS
 from repro.matrix.tile import TileRange
 
@@ -47,14 +47,7 @@ def test_fig6_full_cross_product(benchmark):
     )
     register_table(
         f"Figure 6: algorithms x layouts x processors (n={N}; p>1 simulated)",
-        format_table(
-            ["algorithm", "layout", "p=1 (s)", "p=2 (s)", "p=4 (s)"],
-            [
-                [r["algorithm"], r["layout"], r["p1_seconds"],
-                 r.get("p2_seconds", "-"), r.get("p4_seconds", "-")]
-                for r in rows
-            ],
-        ),
+        FIGURES["fig6"].table(rows),
     )
     by = {(r["algorithm"], r["layout"]): r for r in rows}
     # Recursive layouts cluster (paper: "approximately the same").
@@ -84,13 +77,7 @@ def test_fig6_simulated_memory_cost(benchmark):
     )
     register_table(
         "Figure 6 (simulated): memory cycles/flop, algorithms x layouts (n=250)",
-        format_table(
-            ["algorithm", "layout", "sim cycles/flop", "vs LC"],
-            [
-                [r["algorithm"], r["layout"], r["sim_cycles_per_flop"], r["vs_LC"]]
-                for r in rows
-            ],
-        ),
+        FIGURES["fig6sim"].table(rows),
     )
     by = {(r["algorithm"], r["layout"]): r["vs_LC"] for r in rows}
     rec = ("LU", "LX", "LZ", "LG", "LH")

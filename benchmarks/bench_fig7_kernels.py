@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import fig7_kernel_tiers
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 from repro.kernels.leaf import KERNELS
 
 _rng = np.random.default_rng(7)
@@ -36,10 +36,7 @@ def test_fig7_tier_table(benchmark):
     register_table(
         "Figure 7: leaf-kernel tier overheads (paper: 1.2-1.4x BLAS loss, "
         "1.5-1.9x compiler loss)",
-        format_table(
-            ["kernel", "seconds", "factor vs blas"],
-            [[r["kernel"], r["seconds"], r["factor_vs_blas"]] for r in rows],
-        ),
+        FIGURES["fig7"].table(rows),
     )
     by = {r["kernel"]: r["factor_vs_blas"] for r in rows}
     assert 1.0 == by["blas"] < by["sixloop"] < by["unrolled"]

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import register_table
 from repro.analysis.experiments import false_sharing_table, scaling_table
-from repro.analysis.report import format_table
+from repro.analysis.figures import FIGURES
 
 
 @pytest.mark.parametrize("algorithm", ["standard", "strassen", "winograd"])
@@ -23,14 +23,7 @@ def test_e10_scaling(benchmark, algorithm):
     )
     register_table(
         f"E10: simulated work-stealing scaling, {algorithm}, n=192",
-        format_table(
-            ["procs", "greedy speedup", "ws speedup", "utilization", "steals"],
-            [
-                [r["procs"], r["greedy_speedup"], r["ws_speedup"],
-                 r["utilization"], r["steals"]]
-                for r in rows
-            ],
-        ),
+        FIGURES["scaling"].table(rows),
     )
     by = {r["procs"]: r for r in rows}
     assert by[2]["ws_speedup"] > 1.8
@@ -47,14 +40,7 @@ def test_false_sharing_table(benchmark):
     register_table(
         "Section 3: false sharing of C under 4 processors (lines written "
         "by >1 processor)",
-        format_table(
-            ["n", "LC shared", "LC false", "LC invalidations", "LZ shared"],
-            [
-                [r["n"], r["LC_shared_lines"], r["LC_false_shared"],
-                 r["LC_invalidations"], r["LZ_shared_lines"]]
-                for r in rows
-            ],
-        ),
+        FIGURES["sharing"].table(rows),
     )
     assert all(r["LZ_shared_lines"] == 0 for r in rows)
     assert any(r["LC_false_shared"] > 0 for r in rows)

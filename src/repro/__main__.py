@@ -1,21 +1,24 @@
 """Command-line experiment runner: ``python -m repro <experiment> [...]``.
 
-Each subcommand regenerates one paper figure/table at an adjustable
-scale and prints it (the benchmark suite runs the same drivers under
-pytest-benchmark; this entry point is for interactive exploration).
+Each figure subcommand regenerates one paper figure/table at an
+adjustable scale and prints it (the benchmark suite runs the same
+drivers under pytest-benchmark; this entry point is for interactive
+exploration).  The figure subcommands are generated from the figure
+table (:mod:`repro.analysis.figures`): one flag per driver keyword,
+defaulting to the driver's own default, plus ``--jobs`` for sweeps.
 
 Examples::
 
     python -m repro fig1
     python -m repro fig2 --order 3
     python -m repro fig4 --n 256 --tiles 4 8 16 32 64
-    python -m repro fig5 --start 248 --stop 280 --step 4
+    python -m repro fig5 --n-values 248 256 264 272 280 --tile 16
     python -m repro fig6 --n 200
-    python -m repro fig6sim --n 250
-    python -m repro fig7 --n 96
+    python -m repro fig6sim --n 250 --layouts LC LZ LH
+    python -m repro fig7 --n 128
     python -m repro critical --n 1024 --tile 32
-    python -m repro scaling --algorithm strassen --n 192
-    python -m repro sharing --n 61 100 129
+    python -m repro scaling --algorithm strassen --n 256
+    python -m repro sharing --n-values 61 100 129
     python -m repro gemm --m 300 --k 200 --n 250 --algorithm hybrid
     python -m repro trace --algorithm strassen --workers 4
     python -m repro report --run fig2 --order 2
@@ -38,161 +41,16 @@ import sys
 import numpy as np
 
 from repro import knobs, obs
-from repro.analysis import (
-    ascii_plot,
-    conversion_accounting,
-    critical_path_table,
-    false_sharing_table,
-    fig1_locality,
-    fig2_layouts,
-    fig4_tile_size_sweep,
-    fig5_robustness,
-    fig6_layout_comparison,
-    fig6_machine_scaling,
-    fig6_simulated,
-    fig7_kernel_tiers,
-    format_table,
-    scaling_table,
-    slowdown_vs_native,
-)
+from repro.analysis import format_table
+from repro.analysis.figures import FIGURES
 
 __all__ = ["main"]
 
 
-def _cmd_fig1(args) -> None:
-    rows = fig1_locality(args.n)
-    print(format_table(
-        ["algorithm", "input", "min", "mean", "max", "argmax", "diag mean"],
-        [[r["algorithm"], r["input"], r["min"], r["mean"], r["max"],
-          str(r["argmax"]), r["diag_mean"]] for r in rows],
-        f"Figure 1: locality footprints ({args.n}x{args.n})",
-    ))
-
-
-def _cmd_fig2(args) -> None:
-    from repro.layouts import render_order_grid
-
-    for name in ("LR", "LC", "LU", "LX", "LZ", "LG", "LH"):
-        print(f"--- {name} ---")
-        print(render_order_grid(name, args.order))
-        print()
-    rows = fig2_layouts(args.order)
-    print(format_table(
-        ["layout", "mean jump", "max jump", "unit fraction"],
-        [[r["layout"], r["mean"], r["max"], r["unit_fraction"]] for r in rows],
-        "Dilation statistics",
-    ))
-
-
-def _cmd_fig4(args) -> None:
-    rows = fig4_tile_size_sweep(n=args.n, tiles=args.tiles, repeats=args.repeats,
-                                jobs=args.jobs)
-    print(format_table(
-        ["tile", "seconds", "sim cycles/flop", "L1 miss rate"],
-        [[r["tile"], r["seconds"], r.get("sim_cycles_per_flop", "-"),
-          r.get("l1_miss_rate", "-")] for r in rows],
-        f"Figure 4: tile-size sweep (n={args.n})",
-    ))
-    out = slowdown_vs_native(n=args.n, tile=32, repeats=args.repeats)
-    print(f"\nslowdown vs native BLAS at t=32: {out['slowdown']:.2f}x")
-
-
-def _cmd_fig5(args) -> None:
-    n_values = list(range(args.start, args.stop + 1, args.step))
-    rows = fig5_robustness(n_values=n_values, tile=args.tile, jobs=args.jobs)
-    keys = ["standard_LC", "standard_LZ", "strassen_LC", "strassen_LZ"]
-    print(format_table(
-        ["n"] + keys, [[r["n"]] + [r[k] for k in keys] for r in rows],
-        "Figure 5: simulated memory cycles per flop",
-    ))
-    print()
-    print(ascii_plot({k: [r[k] for r in rows] for k in keys}, x=n_values))
-
-
-def _cmd_fig6(args) -> None:
-    rows = fig6_layout_comparison(n=args.n, repeats=args.repeats, jobs=args.jobs)
-    print(format_table(
-        ["algorithm", "layout", "p=1 (s)", "p=2 (s)", "p=4 (s)"],
-        [[r["algorithm"], r["layout"], r["p1_seconds"],
-          r.get("p2_seconds", "-"), r.get("p4_seconds", "-")] for r in rows],
-        f"Figure 6: wall-clock + simulated scaling (n={args.n})",
-    ))
-
-
-def _cmd_fig6sim(args) -> None:
-    rows = fig6_simulated(n=args.n, tile=args.tile, jobs=args.jobs)
-    print(format_table(
-        ["algorithm", "layout", "sim cycles/flop", "vs LC"],
-        [[r["algorithm"], r["layout"], r["sim_cycles_per_flop"], r["vs_LC"]]
-         for r in rows],
-        f"Figure 6 (simulated memory cost, n={args.n})",
-    ))
-
-
-def _cmd_fig6ms(args) -> None:
-    rows = fig6_machine_scaling(
-        n=args.n, tile=args.tile,
-        l1_assocs=tuple(args.l1_assocs), l2_assocs=tuple(args.l2_assocs),
-        tlb_entries=tuple(args.tlb_entries), jobs=args.jobs,
-    )
-    print(format_table(
-        ["algorithm", "layout", "L1 ways", "L2 ways", "TLB",
-         "L1 miss rate", "cycles/flop", "vs LC"],
-        [[r["algorithm"], r["layout"], r["l1_assoc"], r["l2_assoc"],
-          r["tlb_entries"], r["l1_miss_rate"], r["cycles_per_flop"],
-          r["vs_LC"]] for r in rows],
-        f"Figure 6 (machine scaling: associativity/TLB grid, n={args.n})",
-    ))
-
-
-def _cmd_fig7(args) -> None:
-    rows = fig7_kernel_tiers(n=args.n, repeats=args.repeats)
-    print(format_table(
-        ["kernel", "seconds", "factor vs blas"],
-        [[r["kernel"], r["seconds"], r["factor_vs_blas"]] for r in rows],
-        f"Figure 7: leaf-kernel tiers (n={args.n})",
-    ))
-
-
-def _cmd_critical(args) -> None:
-    rows = critical_path_table(n=args.n, tile=args.tile)
-    print(format_table(
-        ["algorithm", "work", "span", "parallelism", "speedup@4"],
-        [[r["algorithm"], r["work"], r["span"], r["parallelism"],
-          r["speedup_at_4"]] for r in rows],
-        f"Critical path (n={args.n}, t={args.tile})",
-    ))
-
-
-def _cmd_scaling(args) -> None:
-    rows = scaling_table(algorithm=args.algorithm, n=args.n,
-                         procs=tuple(args.procs))
-    print(format_table(
-        ["procs", "greedy speedup", "ws speedup", "utilization", "steals"],
-        [[r["procs"], r["greedy_speedup"], r["ws_speedup"], r["utilization"],
-          r["steals"]] for r in rows],
-        f"Work-stealing scaling: {args.algorithm}, n={args.n}",
-    ))
-
-
-def _cmd_sharing(args) -> None:
-    rows = false_sharing_table(n_values=tuple(args.n), tile=args.tile)
-    print(format_table(
-        ["n", "LC shared", "LC false", "LC invalidations", "LZ shared"],
-        [[r["n"], r["LC_shared_lines"], r["LC_false_shared"],
-          r["LC_invalidations"], r["LZ_shared_lines"]] for r in rows],
-        "False sharing under 4 processors",
-    ))
-
-
-def _cmd_conversion(args) -> None:
-    rows = conversion_accounting(n_values=tuple(args.n))
-    print(format_table(
-        ["n", "total (s)", "conversion (s)", "fraction"],
-        [[r["n"], r["total_seconds"], r["conversion_seconds"],
-          r["conversion_fraction"]] for r in rows],
-        "Conversion cost accounting",
-    ))
+def _cmd_figure(args) -> None:
+    figure = FIGURES[args.command]
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    print(figure.render(figure.driver(**params), params))
 
 
 def _cmd_verify(args) -> None:
@@ -466,6 +324,34 @@ def _cmd_serve(args) -> None:
     )
 
 
+#: argparse settings of each parameter kind the command line spells.
+_FLAG_KINDS: dict[str, dict] = {
+    "int": {"type": int},
+    "ints": {"type": int, "nargs": "+"},
+    "str": {},
+    "strs": {"nargs": "+"},
+    "bool": {"action": argparse.BooleanOptionalAction},
+}
+
+
+def _add_figure_parsers(sub) -> None:
+    """One subcommand per figure, one flag per driver keyword."""
+    for figure in FIGURES.values():
+        s = sub.add_parser(figure.name, help=figure.help)
+        for p in figure.params:
+            if p.kind not in _FLAG_KINDS:
+                continue  # machine models, tile ranges, cost models
+            flag = dict(_FLAG_KINDS[p.kind], default=p.default)
+            if p.choices:
+                flag["choices"] = p.choices
+            s.add_argument("--" + p.name.replace("_", "-"), **flag)
+        if figure.jobs:
+            s.add_argument("--jobs", "-j", type=int, default=None,
+                           help="sweep worker processes (default: REPRO_JOBS "
+                                "env, else cpu count; 1 = serial)")
+        s.set_defaults(fn=_cmd_figure)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     p = argparse.ArgumentParser(
@@ -474,80 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("fig1", help="locality footprints (Figure 1)")
-    s.add_argument("--n", type=int, default=8)
-    s.set_defaults(fn=_cmd_fig1)
-
-    s = sub.add_parser("fig2", help="layout gallery (Figure 2)")
-    s.add_argument("--order", type=int, default=3)
-    s.set_defaults(fn=_cmd_fig2)
-
-    jobs_help = ("sweep worker processes (default: REPRO_JOBS env, else "
-                 "cpu count; 1 = serial)")
-
-    s = sub.add_parser("fig4", help="tile-size sweep (Figure 4)")
-    s.add_argument("--n", type=int, default=256)
-    s.add_argument("--tiles", type=int, nargs="+", default=None)
-    s.add_argument("--repeats", type=int, default=3)
-    s.add_argument("--jobs", "-j", type=int, default=None, help=jobs_help)
-    s.set_defaults(fn=_cmd_fig4)
-
-    s = sub.add_parser("fig5", help="robustness scan (Figure 5)")
-    s.add_argument("--start", type=int, default=248)
-    s.add_argument("--stop", type=int, default=280)
-    s.add_argument("--step", type=int, default=4)
-    s.add_argument("--tile", type=int, default=16)
-    s.add_argument("--jobs", "-j", type=int, default=None, help=jobs_help)
-    s.set_defaults(fn=_cmd_fig5)
-
-    s = sub.add_parser("fig6", help="layout comparison, wall-clock (Figure 6)")
-    s.add_argument("--n", type=int, default=200)
-    s.add_argument("--repeats", type=int, default=3)
-    s.add_argument("--jobs", "-j", type=int, default=None, help=jobs_help)
-    s.set_defaults(fn=_cmd_fig6)
-
-    s = sub.add_parser("fig6sim", help="layout comparison, simulated memory")
-    s.add_argument("--n", type=int, default=250)
-    s.add_argument("--tile", type=int, default=16)
-    s.add_argument("--jobs", "-j", type=int, default=None, help=jobs_help)
-    s.set_defaults(fn=_cmd_fig6sim)
-
-    s = sub.add_parser(
-        "fig6ms", help="layout comparison across machine models "
-        "(associativity/TLB grid, one shared trace per pair)"
-    )
-    s.add_argument("--n", type=int, default=48)
-    s.add_argument("--tile", type=int, default=8)
-    s.add_argument("--l1-assocs", type=int, nargs="+", default=[1, 2, 4, 8])
-    s.add_argument("--l2-assocs", type=int, nargs="+", default=[1, 4])
-    s.add_argument("--tlb-entries", type=int, nargs="+", default=[8, 32])
-    s.add_argument("--jobs", "-j", type=int, default=None, help=jobs_help)
-    s.set_defaults(fn=_cmd_fig6ms)
-
-    s = sub.add_parser("fig7", help="kernel tiers (Figure 7)")
-    s.add_argument("--n", type=int, default=96)
-    s.add_argument("--repeats", type=int, default=2)
-    s.set_defaults(fn=_cmd_fig7)
-
-    s = sub.add_parser("critical", help="work/span table (E7)")
-    s.add_argument("--n", type=int, default=1024)
-    s.add_argument("--tile", type=int, default=32)
-    s.set_defaults(fn=_cmd_critical)
-
-    s = sub.add_parser("scaling", help="work-stealing scaling (E10)")
-    s.add_argument("--algorithm", default="standard")
-    s.add_argument("--n", type=int, default=192)
-    s.add_argument("--procs", type=int, nargs="+", default=[1, 2, 4, 8])
-    s.set_defaults(fn=_cmd_scaling)
-
-    s = sub.add_parser("sharing", help="false-sharing table (Section 3)")
-    s.add_argument("--n", type=int, nargs="+", default=[61, 64, 100, 129])
-    s.add_argument("--tile", type=int, default=8)
-    s.set_defaults(fn=_cmd_sharing)
-
-    s = sub.add_parser("conversion", help="conversion accounting (E9)")
-    s.add_argument("--n", type=int, nargs="+", default=[128, 256, 512])
-    s.set_defaults(fn=_cmd_conversion)
+    _add_figure_parsers(sub)
 
     s = sub.add_parser("verify", help="verify all algorithm/layout combos vs numpy")
     s.set_defaults(fn=_cmd_verify)
@@ -676,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: Sweep subcommands whose obs metrics feed the perf-history store.
-_HISTORY_COMMANDS = frozenset({"fig4", "fig5", "fig6", "fig6sim", "fig6ms"})
-
-
 def _write_run_manifest(args, argv: list[str] | None) -> None:
     """Best-effort provenance manifest for the subcommand that just ran."""
     try:
@@ -694,7 +503,9 @@ def _write_run_manifest(args, argv: list[str] | None) -> None:
         )
     except OSError:
         manifest = None  # read-only checkout etc. — must never fail a run
-    if args.command in _HISTORY_COMMANDS and obs.enabled():
+    # Sweep figures' obs metrics feed the perf-history store.
+    figure = FIGURES.get(args.command)
+    if figure is not None and figure.points is not None and obs.enabled():
         _append_run_history(args.command, manifest)
 
 

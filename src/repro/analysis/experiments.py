@@ -5,12 +5,17 @@ harness, the examples, and the tests consume the same code path.  The
 scales default to laptop-friendly sizes; the paper-scale parameters are
 documented per driver and accepted as arguments.
 
-The grid-shaped drivers (fig4/fig5/fig6/fig6sim) decompose into sweep
-points executed by :mod:`repro.analysis.parallel`: a ``jobs`` argument
-(default: ``REPRO_JOBS`` env, else ``os.cpu_count()``) fans the points
-out over a process pool; ``jobs=1`` is the original serial path.
-Results are identical for every ``jobs`` value — the golden-figure
-tests pin this byte-for-byte.
+A driver's keyword signature is the one declaration of its figure's
+parameters and defaults (:mod:`repro.analysis.figures` generates the
+CLI subcommand and the service's request schema from it).
+
+The grid-shaped drivers (fig4/fig5/fig6/fig6sim/fig6ms) decompose into
+sweep points executed by :mod:`repro.analysis.parallel`; their point
+generators, which the service calls too, resolve the ``None`` defaults.
+A ``jobs`` argument (default: ``REPRO_JOBS`` env, else
+``os.cpu_count()``) fans the points out over a process pool;
+``jobs=1`` is the original serial path.  Results are identical for
+every ``jobs`` value — the golden-figure tests pin this byte-for-byte.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.analysis.parallel import (
     fig6_points,
     fig6ms_points,
     fig6sim_points,
+    machine_or_default,
     run_sweep,
 )
 from repro.analysis.timing import measure
@@ -35,7 +41,7 @@ from repro.layouts.curves import dilation_profile
 from repro.layouts.registry import PAPER_LAYOUTS
 from repro.matrix.tile import TileRange
 from repro.memsim.coherence import assign_by_output, false_sharing_stats
-from repro.memsim.machine import MachineModel, ultrasparc_like
+from repro.memsim.machine import MachineModel
 from repro.memsim.synthetic import dense_standard_events
 from repro.memsim.synthesis import synthesis_enabled, synthesize_multiply
 from repro.memsim.trace import trace_multiply
@@ -114,9 +120,6 @@ def fig4_tile_size_sweep(
     recursion-overhead regime, flatten over a basin, and rise once the
     three-tile working set overflows L1.
     """
-    if tiles is None:
-        tiles = [t for t in (4, 8, 16, 32, 64, 128) if t <= n]
-    machine = machine or ultrasparc_like()
     points = fig4_points(
         n=n, tiles=tiles, algorithm=algorithm, layout=layout,
         repeats=repeats, machine=machine, include_memsim=include_memsim,
@@ -139,13 +142,6 @@ def fig5_robustness(
     L_Z.  Expected shape: large reproducible swings for standard/L_C,
     strongly damped for standard/L_Z, flat for Strassen under both.
     """
-    if n_values is None:
-        n_values = list(range(248, 281, 4))
-    machine = machine or ultrasparc_like()
-    # The point generator pins one tile-grid regime across the sweep
-    # (the paper's [1000,1048] range keeps d=5 with t = ceil(n/32)); the
-    # grid adapting mid-sweep would step the leaf size and mask the
-    # per-n memory effects.
     points = fig5_points(n_values=n_values, tile=tile, machine=machine)
     with obs.span("fig5", tile=tile, points=len(points)):
         return run_sweep(points, jobs=jobs)
@@ -170,7 +166,6 @@ def fig6_layout_comparison(
     L_C is clearly slower for the standard algorithm and roughly
     competitive for the fast ones; near-linear scaling to 4 processors.
     """
-    trange = trange or TileRange()
     points = fig6_points(
         n=n, algorithms=algorithms, layouts=layouts, procs=procs,
         trange=trange, repeats=repeats,
@@ -197,7 +192,6 @@ def fig6_simulated(
     The default n=250 pads to 256 — mirroring how the paper's n=1000
     pads to a power-of-two leading dimension on its direct-mapped cache.
     """
-    machine = machine or ultrasparc_like()
     points = fig6sim_points(
         n=n, tile=tile, algorithms=algorithms, layouts=layouts, machine=machine,
     )
@@ -521,7 +515,7 @@ def false_sharing_table(
     machine: MachineModel | None = None,
 ) -> list[dict]:
     """Parallel write-sharing: canonical vs. recursive layout (Section 3)."""
-    machine = machine or ultrasparc_like()
+    machine = machine_or_default(machine)
     rows = []
     for n in n_values:
         with obs.span("sharing.point", n=n, tile=tile, procs=procs):

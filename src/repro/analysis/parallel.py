@@ -11,8 +11,10 @@ configuration level.  This module provides the three pieces:
   *point function* (by string key, so pickling works under every
   multiprocessing start method, including ``spawn``) plus its keyword
   arguments as a sorted tuple.  ``fig4_points`` / ``fig5_points`` /
-  ``fig6_points`` / ``fig6sim_points`` generate the per-figure grids in
-  their canonical order.
+  ``fig6_points`` / ``fig6sim_points`` / ``fig6ms_points`` generate the
+  per-figure grids in their canonical order and resolve the drivers'
+  ``None`` defaults, so a driver and the simulation service, which both
+  call them, build the same grid.
 * **Execution** — :func:`run_sweep` runs the points.  Worker count
   resolves as: explicit ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else ``os.cpu_count()``.  ``jobs == 1`` is the
@@ -55,7 +57,7 @@ from repro import knobs, obs
 from repro.algorithms.dgemm import dgemm
 from repro.analysis.timing import measure
 from repro.matrix.tile import TileRange
-from repro.memsim.machine import MachineModel, assoc_scaled
+from repro.memsim.machine import MachineModel, assoc_scaled, ultrasparc_like
 from repro.memsim.store import (
     cached_multiply_stats,
     cached_synthetic_stats,
@@ -77,6 +79,7 @@ __all__ = [
     "fig6_points",
     "fig6sim_points",
     "fig6ms_points",
+    "machine_or_default",
 ]
 
 
@@ -341,6 +344,14 @@ def run_sweep(
     return merge_payloads(points, payloads)
 
 
+# -- shared figure defaults --------------------------------------------
+
+def machine_or_default(machine: MachineModel | None) -> MachineModel:
+    """``machine``, else the UltraSPARC-like model the memsim figures
+    price on by default (the paper's direct-mapped E3000 geometry)."""
+    return machine if machine is not None else ultrasparc_like()
+
+
 # -- figure 4: tile-size sweep -----------------------------------------
 
 @point_function("fig4.point")
@@ -388,14 +399,18 @@ def fig4_point(
 def fig4_points(
     *,
     n: int,
-    tiles: Sequence[int],
+    tiles: Sequence[int] | None,
     algorithm: str,
     layout: str,
     repeats: int,
-    machine: MachineModel,
+    machine: MachineModel | None,
     include_memsim: bool,
 ) -> list[SweepPoint]:
-    """Figure-4 grid: one point per tile size, in sweep order."""
+    """Figure-4 grid: one point per tile size, in sweep order.  The
+    default tiles are the powers of two from 4 to 128 that fit ``n``."""
+    if tiles is None:
+        tiles = [t for t in (4, 8, 16, 32, 64, 128) if t <= n]
+    machine = machine_or_default(machine)
     return [
         make_point(
             "fig4", i, "fig4.point",
@@ -439,11 +454,18 @@ def fig5_point(*, n: int, tile: int, machine: MachineModel, depth: int) -> dict:
 
 
 def fig5_points(
-    *, n_values: Sequence[int], tile: int, machine: MachineModel
+    *, n_values: Sequence[int] | None, tile: int, machine: MachineModel | None
 ) -> list[SweepPoint]:
-    """Figure-5 grid: one point per matrix size, pinned to one tile-grid
-    regime (the depth the smallest n implies — see the driver docstring)."""
-    n_values = list(n_values)
+    """Figure-5 grid: one point per matrix size (default: 248..280 in
+    steps of 4), pinned to one tile-grid regime.
+
+    The paper's [1000, 1048] range keeps d=5 with t = ceil(n/32); a grid
+    adapting mid-sweep would step the leaf size and mask the per-n
+    memory effects, so every point takes the depth the smallest n
+    implies.
+    """
+    n_values = list(range(248, 281, 4) if n_values is None else n_values)
+    machine = machine_or_default(machine)
     depth = max(0, (min(n_values) // tile).bit_length() - 1)
     return [
         make_point("fig5", i, "fig5.point", n=n, tile=tile, machine=machine,
@@ -496,10 +518,12 @@ def fig6_points(
     algorithms: Sequence[str],
     layouts: Sequence[str],
     procs: Sequence[int],
-    trange: TileRange,
+    trange: TileRange | None,
     repeats: int,
 ) -> list[SweepPoint]:
-    """Figure-6 grid: algorithms x layouts, in the driver's nested order."""
+    """Figure-6 grid: algorithms x layouts, in the driver's nested order;
+    ``trange=None`` is the default :class:`TileRange`."""
+    trange = trange or TileRange()
     points = []
     for algo in algorithms:
         for lay in layouts:
@@ -536,9 +560,10 @@ def fig6sim_points(
     tile: int,
     algorithms: Sequence[str],
     layouts: Sequence[str],
-    machine: MachineModel,
+    machine: MachineModel | None,
 ) -> list[SweepPoint]:
     """Simulated layout-comparison grid, in the driver's nested order."""
+    machine = machine_or_default(machine)
     points = []
     for algo in algorithms:
         for lay in layouts:

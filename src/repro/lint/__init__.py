@@ -1,8 +1,7 @@
-"""`repro.lint` — the pluggable repo-specific AST lint (rules I1-I5).
+"""`repro.lint` — the pluggable repo-specific AST lint (rules I1-I6).
 
-Importable successor of ``scripts/lint_invariants.py`` (now a shim).
-See :mod:`repro.lint.core` for the framework and
-:mod:`repro.lint.rules` for the invariants themselves.
+Run it as ``python -m repro lint``.  See :mod:`repro.lint.core` for the
+framework and :mod:`repro.lint.rules` for the invariants themselves.
 """
 
 from repro.lint.core import (
@@ -10,7 +9,6 @@ from repro.lint.core import (
     Rule,
     Violation,
     all_rules,
-    main,
     register,
     render_text,
     repo_root,
@@ -23,7 +21,6 @@ __all__ = [
     "Rule",
     "Violation",
     "all_rules",
-    "main",
     "register",
     "render_text",
     "repo_root",

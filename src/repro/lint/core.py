@@ -15,19 +15,16 @@ unit-testable classes:
 * :func:`render_text` / :func:`report_to_json` — the two reporters
   behind ``python -m repro lint [--json]``.
 
-``scripts/lint_invariants.py`` is a thin shim over :func:`main` kept for
-CI back-compat.  Every rule lives in :mod:`repro.lint.rules`; adding one
-is subclassing :class:`Rule` plus the ``@register`` decorator.
+Every rule lives in :mod:`repro.lint.rules`; adding one is subclassing
+:class:`Rule` plus the ``@register`` decorator.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import dataclasses
 import json
-import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from pathlib import Path
 from typing import ClassVar
 
@@ -38,7 +35,6 @@ __all__ = [
     "Rule",
     "Violation",
     "all_rules",
-    "main",
     "register",
     "render_text",
     "repo_root",
@@ -47,8 +43,7 @@ __all__ = [
 ]
 
 #: Top-level directories the lint walks (tests are exercised code, not
-#: library code, and intentionally out of scope — same as the original
-#: ``scripts/lint_invariants.py``).
+#: library code, and intentionally out of scope).
 SCAN_DIRS: tuple[str, ...] = ("src", "scripts", "benchmarks")
 
 
@@ -242,31 +237,3 @@ def report_to_json(report: LintReport) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point shared by ``python -m repro lint`` and the
-    ``scripts/lint_invariants.py`` shim.  Exits 1 iff violations."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint", description="repo-specific AST invariants"
-    )
-    parser.add_argument(
-        "root", nargs="?", default=None, help="repository root to scan"
-    )
-    parser.add_argument(
-        "--select", action="append", default=None, metavar="RULE",
-        help="run only these rules (repeatable, e.g. --select I3)",
-    )
-    parser.add_argument(
-        "--json", dest="as_json", action="store_true",
-        help="emit the JSON report instead of text",
-    )
-    args = parser.parse_args(argv)
-    root = Path(args.root) if args.root else None
-    try:
-        report = run_lint(root=root, select=args.select)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(report_to_json(report) if args.as_json else render_text(report))
-    return 0 if report.ok else 1

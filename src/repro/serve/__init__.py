@@ -36,16 +36,15 @@ driver path (pinned against ``tests/golden/``), and the structural
 from repro.serve.client import ServeClient
 from repro.serve.jobs import Job, JobManager
 from repro.serve.protocol import (
-    FIGURES,
     ProtocolError,
     SweepRequest,
     build_sweep,
+    known_figures,
     parse_request,
 )
 from repro.serve.server import ServeApp, make_server, run_server
 
 __all__ = [
-    "FIGURES",
     "Job",
     "JobManager",
     "ProtocolError",
@@ -53,6 +52,7 @@ __all__ = [
     "ServeClient",
     "SweepRequest",
     "build_sweep",
+    "known_figures",
     "make_server",
     "parse_request",
     "run_server",

@@ -10,27 +10,29 @@ A sweep request is a small JSON document::
                 "machine": {"scaled": 4}},
      "jobs": 2}
 
-:func:`parse_request` validates it against the per-figure schema and
-normalizes it into a :class:`SweepRequest` whose ``params`` are in
-*canonical JSON form* (every default filled in, the machine spec
-expanded to the full :class:`~repro.memsim.machine.MachineModel`
-field dict).  Canonicalization is what makes coalescing work: the
-request key (:meth:`SweepRequest.key`) is a sha256 over the canonical
-payload, so two clients asking for the same sweep in different
-spellings (``"machine": "ultrasparc"`` vs. the explicit field dict,
-params in any order, defaults implicit or spelled out) land on the
-same key and share one execution.
+The schema comes from the figure table
+(:data:`repro.analysis.figures.FIGURES`): a figure is served when its
+entry has a point generator, and its params are the driver's keywords
+other than ``jobs``, each with the driver's default.
+:func:`parse_request` checks every param with the coercer for its kind
+(algorithm and layout names must be ones a sweep can run) and
+normalizes the request into a :class:`SweepRequest` whose ``params``
+are in *canonical JSON form*: every default filled in, the machine spec
+expanded to the full :class:`~repro.memsim.machine.MachineModel` field
+dict, and a ``None`` default (fig4's ``tiles``, fig5's ``n_values``,
+fig6's ``trange``) left null for the point generator to derive.
+Canonicalization is what makes coalescing work: the request key
+(:meth:`SweepRequest.key`) is a sha256 over the canonical payload, so
+two clients asking for the same sweep in different spellings
+(``"machine": "ultrasparc"`` vs. the explicit field dict, params in any
+order, defaults implicit or spelled out) land on the same key and share
+one execution.
 
-:func:`build_sweep` turns a validated request into the exact point
-grid the in-process figure drivers build — the *same* generator
-functions from :mod:`repro.analysis.parallel` and the same merge step
-(:func:`~repro.analysis.experiments.fig6sim_merge`), which is what
-makes served results byte-identical to the driver path (the black-box
-golden tests in ``tests/test_serve.py`` pin this).
-
-Figure parameter defaults mirror the driver signatures exactly, so an
-empty ``params`` serves the same grid ``python -m repro <figure>``
-prints.
+:func:`build_sweep` turns a validated request into the figure entry's
+point grid and merge step — the *same* generator and merge the
+in-process driver calls — which is what makes served results
+byte-identical to the driver path (the black-box golden tests in
+``tests/test_serve.py`` pin this).
 
 The ``fault`` figure exists only for the fault-injection test suite
 and is hidden unless ``REPRO_SERVE_TEST_HOOKS`` is set: its first
@@ -49,17 +51,10 @@ import signal
 from typing import Any, Callable, Sequence
 
 from repro import knobs
-from repro.analysis.experiments import fig6ms_merge, fig6sim_merge
-from repro.analysis.parallel import (
-    SweepPoint,
-    fig4_points,
-    fig5_points,
-    fig6_points,
-    fig6ms_points,
-    fig6sim_points,
-    point_function,
-)
-from repro.layouts.registry import PAPER_LAYOUTS
+# The served merge steps; build_sweep calls them through this module.
+from repro.analysis.experiments import fig6ms_merge, fig6sim_merge  # noqa: F401
+from repro.analysis.figures import FIGURES, Figure
+from repro.analysis.parallel import SweepPoint, machine_or_default, point_function
 from repro.matrix.tile import TileRange
 from repro.memsim.machine import (
     CacheGeometry,
@@ -71,7 +66,6 @@ from repro.memsim.machine import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "FIGURES",
     "ProtocolError",
     "SweepRequest",
     "build_sweep",
@@ -84,7 +78,7 @@ __all__ = [
 
 #: Bump when the request canonicalization changes incompatibly; part of
 #: the request key, so old and new servers never coalesce across it.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(ValueError):
@@ -103,10 +97,12 @@ _MACHINES: dict[str, Callable[[], MachineModel]] = {
 def resolve_machine(spec: Any) -> MachineModel:
     """A :class:`MachineModel` from a request's machine spec.
 
-    Accepts a registered name (``"ultrasparc"``, ``"modern"``), a
-    ``{"scaled": k}`` shrink spec, or a full field dict as produced by
-    :func:`machine_to_dict`.
+    Accepts ``None`` (the figures' default machine), a registered name
+    (``"ultrasparc"``, ``"modern"``), a ``{"scaled": k}`` shrink spec,
+    or a full field dict as produced by :func:`machine_to_dict`.
     """
+    if spec is None:
+        return machine_or_default(None)
     if isinstance(spec, str):
         if spec not in _MACHINES:
             raise ProtocolError(
@@ -128,8 +124,8 @@ def resolve_machine(spec: Any) -> MachineModel:
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"bad machine field dict: {exc}") from None
     raise ProtocolError(
-        f"machine spec must be a name, {{'scaled': k}}, or a field dict; "
-        f"got {type(spec).__name__}"
+        f"machine spec must be null, a name, {{'scaled': k}}, or a field "
+        f"dict; got {type(spec).__name__}"
     )
 
 
@@ -147,6 +143,9 @@ def machine_from_dict(fields: dict) -> MachineModel:
 
 
 # -- per-parameter coercion --------------------------------------------
+#
+# Each coercer reads one param (absent: the driver default) and returns
+# its canonical JSON form, or raises ProtocolError.
 
 
 def _is_int(value: Any) -> bool:
@@ -160,10 +159,14 @@ def _pos_int(params: dict, name: str, default: int) -> int:
     return value
 
 
-def _int_list(params: dict, name: str, default: Sequence[int]) -> list[int]:
-    value = params.get(name, list(default))
+def _int_list(
+    params: dict, name: str, default: Sequence[int] | None
+) -> list[int] | None:
+    value = params.get(name, default)
+    if value is None and default is None:
+        return None  # derived by the figure's point generator
     if (
-        not isinstance(value, list)
+        not isinstance(value, (list, tuple))
         or not value
         or not all(_is_int(v) and v >= 1 for v in value)
     ):
@@ -174,9 +177,9 @@ def _int_list(params: dict, name: str, default: Sequence[int]) -> list[int]:
 
 
 def _str_list(params: dict, name: str, default: Sequence[str]) -> list[str]:
-    value = params.get(name, list(default))
+    value = params.get(name, default)
     if (
-        not isinstance(value, list)
+        not isinstance(value, (list, tuple))
         or not value
         or not all(isinstance(v, str) for v in value)
     ):
@@ -198,10 +201,45 @@ def _flag(params: dict, name: str, default: bool) -> bool:
     return value
 
 
-def _machine(params: dict, name: str = "machine") -> dict:
-    """Normalized machine spec: default per-driver (ultrasparc)."""
-    spec = params.get(name, "ultrasparc")
-    return machine_to_dict(resolve_machine(spec))
+def _machine(params: dict, name: str, default: None) -> dict:
+    """The machine spec's full field dict (null: the default machine)."""
+    return machine_to_dict(resolve_machine(params.get(name, default)))
+
+
+def _trange(params: dict, name: str, default: None) -> list[int] | None:
+    value = params.get(name, default)
+    if value is None:
+        return None  # derived by the figure's point generator
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(_is_int(v) for v in value)
+    ):
+        raise ProtocolError(f"param {name!r} must be [t_min, t_max]")
+    try:
+        TileRange(*value)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return list(value)
+
+
+#: Figure parameter kind (see :mod:`repro.analysis.figures`) -> coercer.
+_COERCERS: dict[str, Callable[[dict, str, Any], Any]] = {
+    "int": _pos_int,
+    "ints": _int_list,
+    "str": _name,
+    "strs": _str_list,
+    "bool": _flag,
+    "machine": _machine,
+    "trange": _trange,
+}
+
+
+def _check_names(name: str, value: str | list[str], known: Sequence[str]) -> None:
+    unknown = [v for v in ([value] if isinstance(value, str) else value)
+               if v not in known]
+    if unknown:
+        raise ProtocolError(f"unknown {name} {unknown}; known: {list(known)}")
 
 
 def _reject_unknown(params: dict, known: Sequence[str]) -> None:
@@ -212,103 +250,23 @@ def _reject_unknown(params: dict, known: Sequence[str]) -> None:
         )
 
 
-# -- per-figure schemas ------------------------------------------------
+# -- schemas -----------------------------------------------------------
 
 
-def _normalize_fig4(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "tiles", "algorithm", "layout", "repeats", "machine",
-        "include_memsim",
-    ))
-    n = _pos_int(params, "n", 256)
-    return {
-        "n": n,
-        "tiles": _int_list(
-            params, "tiles", [t for t in (4, 8, 16, 32, 64, 128) if t <= n]
-        ),
-        "algorithm": _name(params, "algorithm", "standard"),
-        "layout": _name(params, "layout", "LZ"),
-        "repeats": _pos_int(params, "repeats", 3),
-        "machine": _machine(params),
-        "include_memsim": _flag(params, "include_memsim", True),
-    }
-
-
-def _normalize_fig5(params: dict) -> dict:
-    _reject_unknown(params, ("n_values", "tile", "machine"))
-    return {
-        "n_values": _int_list(params, "n_values", list(range(248, 281, 4))),
-        "tile": _pos_int(params, "tile", 16),
-        "machine": _machine(params),
-    }
-
-
-def _normalize_fig6(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "algorithms", "layouts", "procs", "trange", "repeats",
-    ))
-    trange = params.get("trange")
-    if trange is None:
-        tr = TileRange()
-    else:
-        if (
-            not isinstance(trange, list)
-            or len(trange) != 2
-            or not all(_is_int(v) for v in trange)
-        ):
-            raise ProtocolError("param 'trange' must be [t_min, t_max]")
-        try:
-            tr = TileRange(*trange)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-    return {
-        "n": _pos_int(params, "n", 200),
-        "algorithms": _str_list(
-            params, "algorithms", ("standard", "strassen", "winograd")
-        ),
-        "layouts": _str_list(params, "layouts", PAPER_LAYOUTS),
-        "procs": _int_list(params, "procs", (1, 2, 4)),
-        "trange": [tr.t_min, tr.t_max],
-        "repeats": _pos_int(params, "repeats", 3),
-    }
-
-
-def _normalize_fig6sim(params: dict) -> dict:
-    _reject_unknown(params, ("n", "tile", "algorithms", "layouts", "machine"))
-    return {
-        "n": _pos_int(params, "n", 250),
-        "tile": _pos_int(params, "tile", 16),
-        "algorithms": _str_list(
-            params, "algorithms", ("standard", "strassen", "winograd")
-        ),
-        "layouts": _str_list(params, "layouts", PAPER_LAYOUTS),
-        "machine": _machine(params),
-    }
-
-
-def _normalize_fig6ms(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "tile", "algorithms", "layouts", "l1_assocs", "l2_assocs",
-        "tlb_entries",
-    ))
-    # Machine models are derived server-side (the assoc_scaled family),
-    # so every grid member shares one config family and one trace.
-    return {
-        "n": _pos_int(params, "n", 48),
-        "tile": _pos_int(params, "tile", 8),
-        "algorithms": _str_list(params, "algorithms", ("standard", "strassen")),
-        "layouts": _str_list(params, "layouts", ("LC", "LZ")),
-        "l1_assocs": _int_list(params, "l1_assocs", (1, 2, 4, 8)),
-        "l2_assocs": _int_list(params, "l2_assocs", (1, 4)),
-        "tlb_entries": _int_list(params, "tlb_entries", (8, 32)),
-    }
+def _canonical(figure: Figure, params: dict) -> dict:
+    """A served figure's params in canonical JSON form."""
+    served = [p for p in figure.params if p.kind in _COERCERS]
+    _reject_unknown(params, [p.name for p in served])
+    canonical = {}
+    for p in served:
+        value = _COERCERS[p.kind](params, p.name, p.default)
+        if p.choices:
+            _check_names(p.name, value, p.choices)
+        canonical[p.name] = value
+    return canonical
 
 
 def _normalize_fault(params: dict) -> dict:
-    if not knobs.flag("REPRO_SERVE_TEST_HOOKS"):
-        raise ProtocolError(
-            f"unknown figure 'fault'; known: {known_figures()}"
-        )
     _reject_unknown(params, ("sentinel_dir", "points", "kill_index", "n", "tile"))
     sentinel_dir = params.get("sentinel_dir")
     if not isinstance(sentinel_dir, str) or not sentinel_dir:
@@ -326,24 +284,10 @@ def _normalize_fault(params: dict) -> dict:
     }
 
 
-#: figure name -> params normalizer.  ``fault`` is hidden behind the
-#: test-hooks knob and never listed.
-_NORMALIZERS: dict[str, Callable[[dict], dict]] = {
-    "fig4": _normalize_fig4,
-    "fig5": _normalize_fig5,
-    "fig6": _normalize_fig6,
-    "fig6sim": _normalize_fig6sim,
-    "fig6ms": _normalize_fig6ms,
-    "fault": _normalize_fault,
-}
-
-#: Publicly served figures (the 4xx error surface and ``/healthz``).
-FIGURES = ("fig4", "fig5", "fig6", "fig6sim", "fig6ms")
-
-
 def known_figures() -> list[str]:
-    """Figure names a client may request (test hooks included when on)."""
-    out = list(FIGURES)
+    """Figure names a client may request: every figure with a point
+    generator, plus ``fault`` when the test hooks are on."""
+    out = [name for name, figure in FIGURES.items() if figure.points is not None]
     if knobs.flag("REPRO_SERVE_TEST_HOOKS"):
         out.append("fault")
     return out
@@ -389,10 +333,9 @@ def parse_request(body: Any) -> SweepRequest:
     if not isinstance(body, dict):
         raise ProtocolError("request body must be a JSON object")
     figure = body.get("figure")
-    if not isinstance(figure, str) or figure not in _NORMALIZERS:
-        raise ProtocolError(
-            f"unknown figure {figure!r}; known: {known_figures()}"
-        )
+    known = known_figures()
+    if figure not in known:
+        raise ProtocolError(f"unknown figure {figure!r}; known: {known}")
     params = body.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")
@@ -402,10 +345,37 @@ def parse_request(body: Any) -> SweepRequest:
     extras = sorted(set(body) - {"figure", "params", "jobs", "wait", "timeout_s"})
     if extras:
         raise ProtocolError(f"unknown request field(s) {extras}")
-    return SweepRequest(figure, _NORMALIZERS[figure](params), jobs)
+    if figure == "fault":
+        return SweepRequest(figure, _normalize_fault(params), jobs)
+    return SweepRequest(figure, _canonical(FIGURES[figure], params), jobs)
 
 
 # -- decomposition -----------------------------------------------------
+
+
+def _driver_value(kind: str | None, value: Any) -> Any:
+    """A canonical param as the driver and its point generator take it."""
+    if kind == "machine":
+        return machine_from_dict(value)
+    if kind == "trange" and value is not None:
+        return TileRange(*value)
+    return value
+
+
+def _fault_points(p: dict) -> list[SweepPoint]:
+    return [
+        SweepPoint(
+            "fault", i, "serve.fault.point",
+            tuple(sorted({
+                "index": i,
+                "sentinel_dir": p["sentinel_dir"],
+                "kill": i == p["kill_index"],
+                "n": p["n"],
+                "tile": p["tile"],
+            }.items())),
+        )
+        for i in range(p["points"])
+    ]
 
 
 def build_sweep(
@@ -413,78 +383,28 @@ def build_sweep(
 ) -> tuple[list[SweepPoint], Callable[[list[dict]], list[dict]]]:
     """The request's point grid plus its row-merge step.
 
-    Uses the same generator functions the in-process drivers use, so a
-    served sweep is the driver's sweep: same points, same canonical
-    order, same merge — byte-identical rows.
+    Uses the figure entry's point generator and merge step, the ones
+    the in-process driver calls, so a served sweep is the driver's
+    sweep: same points, same canonical order, same merge —
+    byte-identical rows.
     """
-    p = request.params
     identity: Callable[[list[dict]], list[dict]] = lambda rows: rows
-    if request.figure == "fig4":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig4_points(
-                n=p["n"], tiles=p["tiles"], algorithm=p["algorithm"],
-                layout=p["layout"], repeats=p["repeats"], machine=machine,
-                include_memsim=p["include_memsim"],
-            ),
-            identity,
-        )
-    if request.figure == "fig5":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig5_points(
-                n_values=p["n_values"], tile=p["tile"], machine=machine
-            ),
-            identity,
-        )
-    if request.figure == "fig6":
-        return (
-            fig6_points(
-                n=p["n"], algorithms=p["algorithms"], layouts=p["layouts"],
-                procs=p["procs"], trange=TileRange(*p["trange"]),
-                repeats=p["repeats"],
-            ),
-            identity,
-        )
-    if request.figure == "fig6sim":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig6sim_points(
-                n=p["n"], tile=p["tile"], algorithms=p["algorithms"],
-                layouts=p["layouts"], machine=machine,
-            ),
-            lambda rows: fig6sim_merge(
-                rows, n=p["n"], algorithms=p["algorithms"],
-                layouts=p["layouts"],
-            ),
-        )
-    if request.figure == "fig6ms":
-        return (
-            fig6ms_points(
-                n=p["n"], tile=p["tile"], algorithms=p["algorithms"],
-                layouts=p["layouts"], l1_assocs=p["l1_assocs"],
-                l2_assocs=p["l2_assocs"], tlb_entries=p["tlb_entries"],
-            ),
-            lambda rows: fig6ms_merge(rows, n=p["n"], layouts=p["layouts"]),
-        )
     if request.figure == "fault":
-        return (
-            [
-                SweepPoint(
-                    "fault", i, "serve.fault.point",
-                    tuple(sorted({
-                        "index": i,
-                        "sentinel_dir": p["sentinel_dir"],
-                        "kill": i == p["kill_index"],
-                        "n": p["n"],
-                        "tile": p["tile"],
-                    }.items())),
-                )
-                for i in range(p["points"])
-            ],
-            identity,
-        )
-    raise ProtocolError(f"unknown figure {request.figure!r}")  # unreachable
+        return _fault_points(request.params), identity
+    figure = FIGURES[request.figure]
+    kwargs = {
+        p.name: _driver_value(p.kind, request.params[p.name])
+        for p in figure.params
+        if p.name in request.params
+    }
+    points = figure.points(**kwargs)
+    if figure.merge is None:
+        return points, identity
+    # Looked up by name in this module, so the served merge step is one
+    # call edge that benchmarks/e2e/tracing.py can wrap.
+    merge = globals()[figure.merge.__name__]
+    merge_kwargs = {key: kwargs[key] for key in figure.merge_keys}
+    return points, lambda rows: merge(rows, **merge_kwargs)
 
 
 @point_function("serve.fault.point")

@@ -1,8 +1,27 @@
 """The ``python -m repro`` experiment CLI."""
 
+import inspect
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.analysis import experiments as ex
+
+#: Figure subcommand -> the driver whose signature declares its flags.
+FIGURE_DRIVERS = {
+    "fig1": ex.fig1_locality,
+    "fig2": ex.fig2_layouts,
+    "fig4": ex.fig4_tile_size_sweep,
+    "fig5": ex.fig5_robustness,
+    "fig6": ex.fig6_layout_comparison,
+    "fig6sim": ex.fig6_simulated,
+    "fig6ms": ex.fig6_machine_scaling,
+    "fig7": ex.fig7_kernel_tiers,
+    "critical": ex.critical_path_table,
+    "scaling": ex.scaling_table,
+    "sharing": ex.false_sharing_table,
+    "conversion": ex.conversion_accounting,
+}
 
 
 class TestParser:
@@ -21,6 +40,18 @@ class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_DRIVERS))
+    def test_figure_flags_default_to_driver_signature(self, name):
+        """A bare figure subcommand runs the driver at its own defaults:
+        every parsed value is a driver keyword at its signature default."""
+        args = vars(build_parser().parse_args([name]))
+        signature = inspect.signature(FIGURE_DRIVERS[name]).parameters
+        for key, value in args.items():
+            if key in ("command", "fn"):
+                continue
+            assert key in signature, f"{name} --{key} is no driver keyword"
+            assert value == signature[key].default, (name, key)
 
 
 class TestFastCommands:
@@ -46,7 +77,7 @@ class TestFastCommands:
         assert "steals" in out
 
     def test_sharing(self, capsys):
-        assert main(["sharing", "--n", "61"]) == 0
+        assert main(["sharing", "--n-values", "61"]) == 0
         out = capsys.readouterr().out
         assert "LC false" in out
 
@@ -65,7 +96,7 @@ class TestFastCommands:
         assert "configurations passed" in out
 
     def test_conversion(self, capsys):
-        assert main(["conversion", "--n", "64"]) == 0
+        assert main(["conversion", "--n-values", "64"]) == 0
         assert "fraction" in capsys.readouterr().out
 
     def test_fig7_small(self, capsys):
@@ -128,8 +159,7 @@ class TestObsCommands:
 class TestSlowerCommands:
     @pytest.mark.slow
     def test_fig5_small(self, capsys):
-        assert main(["fig5", "--start", "60", "--stop", "68", "--step", "4",
-                     "--tile", "8"]) == 0
+        assert main(["fig5", "--n-values", "60", "64", "68", "--tile", "8"]) == 0
         assert "standard_LC" in capsys.readouterr().out
 
     @pytest.mark.slow

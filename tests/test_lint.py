@@ -2,8 +2,6 @@
 
 import ast
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +9,6 @@ import pytest
 from repro.lint import (
     all_rules,
     render_text,
-    repo_root,
     report_to_json,
     run_lint,
 )
@@ -174,16 +171,6 @@ class TestReporters:
         assert data["ok"] is False
         assert data["violations"][0]["rule"] == "I3"
         assert data["violations"][0]["path"] == "scripts/bad.py"
-
-
-class TestShim:
-    def test_script_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, str(repo_root() / "scripts" / "lint_invariants.py")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "lint: OK" in proc.stdout
 
 
 class TestPerfNamespaceRule:

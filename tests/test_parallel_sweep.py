@@ -33,7 +33,7 @@ from repro.analysis.parallel import (
 )
 from repro.matrix.tile import TileRange
 from repro.memsim import store as store_mod
-from repro.memsim.machine import scaled
+from repro.memsim.machine import scaled, ultrasparc_like
 from repro.memsim.store import default_store
 from repro.obs.core import SpanCollector
 from repro.obs.metrics import MetricsRegistry
@@ -107,6 +107,23 @@ class TestSweepPoints:
         # Equal kwargs in any construction order -> equal (hashable) points.
         assert p == make_point("fig4", 0, "fig4.point", a=2, z=1)
         assert hash(p) == hash(make_point("fig4", 0, "fig4.point", a=2, z=1))
+
+    def test_none_means_the_driver_default(self):
+        """The generators resolve the drivers' ``None`` defaults, so a
+        driver and the service build the same grid from them."""
+        fig4 = fig4_points(
+            n=32, tiles=None, algorithm="standard", layout="LZ", repeats=1,
+            machine=None, include_memsim=False,
+        )
+        assert [p.kwargs()["tile"] for p in fig4] == [4, 8, 16, 32]
+        assert fig4[0].kwargs()["machine"] == ultrasparc_like()
+        fig5 = fig5_points(n_values=None, tile=16, machine=None)
+        assert [p.kwargs()["n"] for p in fig5] == list(range(248, 281, 4))
+        fig6 = fig6_points(
+            n=32, algorithms=("standard",), layouts=("LZ",), procs=(1,),
+            trange=None, repeats=1,
+        )
+        assert fig6[0].kwargs()["trange"] == TileRange()
 
     def test_make_point_rejects_unknown_function(self):
         with pytest.raises(KeyError, match="unknown point function"):

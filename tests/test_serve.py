@@ -223,6 +223,9 @@ def test_unknown_figure_is_400(server):
         ({"bogus": 1}, "unknown param"),
         ({"algorithms": []}, "'algorithms'"),
         ({"machine": "cray"}, "unknown machine"),
+        ({"algorithms": ["nope"]}, "unknown algorithms ['nope']"),
+        ({"layouts": ["QQ"]}, "unknown layouts ['QQ']"),
+        ({"layouts": ["LR"]}, "unknown layouts ['LR']"),
     ],
 )
 def test_bad_params_are_400(server, params, fragment):
