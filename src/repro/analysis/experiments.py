@@ -43,8 +43,7 @@ from repro.matrix.tile import TileRange
 from repro.memsim.coherence import assign_by_output, false_sharing_stats
 from repro.memsim.machine import MachineModel
 from repro.memsim.synthetic import dense_standard_events
-from repro.memsim.synthesis import synthesis_enabled, synthesize_multiply
-from repro.memsim.trace import trace_multiply
+from repro.memsim.synthesis import synthesize_multiply
 from repro.runtime.cilk import CostModel, TraceRuntime
 from repro.runtime.critical import work_span
 from repro.runtime.scheduler import greedy_makespan, work_stealing_makespan
@@ -522,13 +521,10 @@ def false_sharing_table(
             ev = dense_standard_events(n, tile)
             owner = assign_by_output(ev, procs, 3, n, ld=n)
             lc = false_sharing_stats(ev, owner, machine)
-            if synthesis_enabled():
-                # Descriptor-only synthesis: identical event regions,
-                # no executed multiply behind them.
-                table, sizes = synthesize_multiply("standard", "LZ", n, tile)
-                ev = table.to_events()
-            else:
-                ev, sizes = trace_multiply("standard", "LZ", n, tile)
+            # Descriptor-only synthesis: the executed tracer's event
+            # regions, with no multiply run behind them.
+            table, sizes = synthesize_multiply("standard", "LZ", n, tile)
+            ev = table.to_events()
             c_space = ev[0].write.space
             owner = assign_by_output(
                 ev, procs, c_space, n, tiled_total=sizes[c_space]

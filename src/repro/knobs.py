@@ -125,13 +125,6 @@ declare(
     "output is byte-identical across runs and worker counts.",
 )
 declare(
-    "REPRO_TRACE_SYNTHESIS",
-    "flag",
-    True,
-    "Derive address traces symbolically (repro.memsim.synthesis); set to "
-    "0 to fall back to the executed-trace oracle everywhere.",
-)
-declare(
     "REPRO_TRACE_CACHE",
     "flag",
     True,

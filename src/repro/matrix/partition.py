@@ -7,10 +7,11 @@ is first cut into squat blocks; the product is reconstructed from block
 products ``C[i,j] = sum_l A[i,l] . B[l,j]``, all of which the paper
 spawns in parallel.
 
-:func:`plan_partition` chooses the block counts ``(p_m, p_k, p_n)``
-(smallest product of powers of two that makes every block jointly
-tileable) and returns a :class:`PartitionPlan` whose ``block_products``
-enumerates the sub-multiplications.
+:func:`plan_partition` chooses the block counts ``(p_m, p_k, p_n)`` —
+the powers of two whose jointly tileable blocks have the least total
+padded flop volume, ties going to the fewest blocks — and returns a
+:class:`PartitionPlan` whose ``block_products`` enumerates the
+sub-multiplications.
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def plan_partition(
 ) -> PartitionPlan:
     """Choose block counts making every block jointly tileable.
 
-    Searches powers of two per axis in increasing total block count; the
-    first feasible combination wins (fewest, largest blocks).  Raises
+    Tries every power-of-two count per axis (up to ``2**11``, never more
+    blocks than the axis has elements) and keeps the feasible
+    combination with the least total padded flop volume, block count
+    times ``2 * pm * pk * pn`` of the block tiling's padded dims.  Ties
+    go to the fewest blocks (candidates are visited in increasing total
+    block count, then lexicographically).  Raises
     :class:`~repro.matrix.tile.InfeasibleTiling` only if even unit blocks
     fail, which cannot happen for dims >= 1 and t_min <= dim.
     """

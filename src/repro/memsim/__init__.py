@@ -39,7 +39,6 @@ from repro.memsim.trace import (
     TraceContext,
     TraceEvent,
     expand_trace,
-    expand_trace_chunks,
     run_traced_multiply,
     trace_multiply,
     view_buffer,
@@ -82,7 +81,6 @@ __all__ = [
     "TraceContext",
     "TraceEvent",
     "expand_trace",
-    "expand_trace_chunks",
     "run_traced_multiply",
     "trace_multiply",
     "view_buffer",

@@ -1,6 +1,6 @@
 """Content-addressed on-disk cache of expanded traces and simulation results.
 
-Trace expansion (:func:`repro.memsim.trace.expand_trace`) and hierarchy
+Trace expansion (:func:`repro.memsim.synthesis.expand_table`) and hierarchy
 simulation are deterministic functions of a small parameter tuple —
 (algorithm, layout, n, tile, mode, depth) plus the machine geometry.
 Sweeps like Figure 4/5 re-derive the same traces run after run; this
@@ -25,6 +25,15 @@ recomputes, nothing is read or written); ``REPRO_TRACE_CACHE_DIR``
 relocates the store (default ``.benchmarks/tracecache/`` at the repo
 root).  Hit/miss counters on the store make cache behaviour observable
 in tests and benchmark summaries.
+
+Every trace is built by the symbolic synthesizer
+(:func:`~repro.memsim.synthesis.synthesize_multiply` +
+:func:`~repro.memsim.synthesis.expand_table`); a multiply whose
+algorithm has no synthesis spec falls back to the executed tracer
+(:func:`~repro.memsim.trace.trace_multiply` +
+:func:`~repro.memsim.trace.expand_trace`).  The four are looked up by
+these names in this module at call time, so a test can swap one out and
+force every trace through the other path.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from repro.memsim.synthesis import (
     EventTable,
     UnsupportedSynthesis,
     expand_table,
-    synthesis_enabled,
     synthesize_multiply,
 )
 from repro.memsim.synthetic import (
@@ -373,23 +381,19 @@ def _multiply_fields(algorithm, layout, n, tile, mode, depth) -> dict:
 
 def _multiply_builder(algorithm, layout, n, tile, machine, mode, depth):
     # Symbolic synthesis and the executed tracer produce byte-identical
-    # streams (property-tested), so the flag does not enter the cache
-    # key and _STORE_VERSION stays put: either path may fill a slot the
-    # other reads.
+    # streams (property-tested), so the source does not enter the cache
+    # key: either path may fill a slot the other reads.
     def build():
-        if synthesis_enabled():
-            try:
-                table, sizes = synthesize_multiply(
-                    algorithm, layout, n, tile, mode=mode, depth=depth
-                )
-            except UnsupportedSynthesis:
-                pass
-            else:
-                return expand_table(table, machine, sizes)
-        events, sizes = trace_multiply(
-            algorithm, layout, n, tile, mode=mode, depth=depth
-        )
-        return expand_trace(events, machine, sizes)
+        try:
+            table, sizes = synthesize_multiply(
+                algorithm, layout, n, tile, mode=mode, depth=depth
+            )
+        except UnsupportedSynthesis:
+            events, sizes = trace_multiply(
+                algorithm, layout, n, tile, mode=mode, depth=depth
+            )
+            return expand_trace(events, machine, sizes)
+        return expand_table(table, machine, sizes)
 
     return build
 
@@ -432,7 +436,8 @@ def cached_multiply_trace(
     depth: int | None = None,
     store: TraceStore | None = None,
 ) -> np.ndarray:
-    """Memoized ``expand_trace(trace_multiply(...))``."""
+    """Memoized address trace of one multiply, built by synthesis: the
+    bytes :func:`expand_trace` lowers :func:`trace_multiply`'s events to."""
     store = store or default_store()
     return store.trace(
         _multiply_fields(algorithm, layout, n, tile, mode, depth),
@@ -465,12 +470,10 @@ def cached_multiply_stats(
 
 def _synthetic_builder(source: str, machine: MachineModel, params: dict):
     def build():
+        # The array representation expands vectorized, to the bytes
+        # expand_trace would produce event by event.
         events = _SYNTHETIC_SOURCES[source](**params)
-        if synthesis_enabled():
-            # Same addresses either way; the array representation just
-            # expands vectorized instead of event-by-event.
-            return expand_table(EventTable.from_events(events), machine)
-        return expand_trace(events, machine)
+        return expand_table(EventTable.from_events(events), machine)
 
     return build
 

@@ -26,12 +26,16 @@ per-quadrant base offset.  This module exploits that in two stages:
 
 Events live in a structure-of-arrays :class:`EventTable` (int64 columns
 for space/start/rows/cols/stride) instead of a Python list of
-``TraceEvent`` objects, and :func:`expand_table_chunks` lowers the table
-to the line-granularity byte-address stream fully vectorized —
-replicating :func:`repro.memsim.trace.expand_trace_chunks` *byte for
-byte*, including base assignment in first-touch order and per-event
-chunk boundaries (the property suite asserts this for every
-algorithm x layout pair).
+``TraceEvent`` objects, and :func:`expand_table` lowers the table to the
+line-granularity byte-address stream fully vectorized — replicating
+:func:`repro.memsim.trace.expand_trace` *byte for byte*, including base
+assignment in first-touch order (the property suite asserts this for
+every algorithm x layout pair).
+
+Synthesis is the only production trace source.  The executed tracer
+stays as the oracle the tests, the sanitizer and the static checker
+compare against, and as the trace store's fallback for algorithms
+without a spec (:class:`UnsupportedSynthesis`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import dataclasses
 
 import numpy as np
 
-from repro import knobs, obs
+from repro import obs
 from repro.algorithms.recursion import Context, leaf_multiply
 from repro.algorithms.spacesaving import strassen_space_level
 from repro.algorithms.standard import standard_level
@@ -50,11 +54,7 @@ from repro.layouts.base import RecursiveLayout
 from repro.layouts.registry import get_recursive_layout
 from repro.matrix.tile import Tiling, matmul_tiling_for_fixed_tile
 from repro.memsim.machine import MachineModel
-from repro.memsim.trace import (
-    DEFAULT_CHUNK_ELEMENTS,
-    Region,
-    TraceEvent,
-)
+from repro.memsim.trace import Region, TraceEvent
 
 __all__ = [
     "EventTable",
@@ -66,8 +66,6 @@ __all__ = [
     "UnsupportedSynthesis",
     "expand_level",
     "expand_table",
-    "expand_table_chunks",
-    "synthesis_enabled",
     "synthesize_multiply",
 ]
 
@@ -81,17 +79,6 @@ _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 class UnsupportedSynthesis(KeyError):
     """The requested algorithm has no symbolic synthesis spec."""
-
-
-def synthesis_enabled() -> bool:
-    """Whether trace synthesis is the default trace source.
-
-    ``REPRO_TRACE_SYNTHESIS=0`` switches every consumer back to the
-    executed-trace oracle (:func:`repro.memsim.trace.trace_multiply`);
-    the two are byte-identical, so this is purely a speed/verification
-    knob.
-    """
-    return knobs.flag("REPRO_TRACE_SYNTHESIS")
 
 
 # ---------------------------------------------------------------------------
@@ -738,24 +725,29 @@ def _assign_bases(table: EventTable, machine: MachineModel, sizes: dict):
     return uniq, base_by_uniq
 
 
-def expand_table_chunks(
+#: Minimum addresses per slice of :func:`expand_table`'s output fill.
+#: Slices end on piece boundaries, so the ragged-arange temporaries hold
+#: about this many addresses (8 MB of int64) plus one piece, however
+#: long the trace.
+EXPAND_SLICE = 1 << 20
+
+
+def expand_table(
     table: EventTable,
     machine: MachineModel,
     space_sizes: dict[int, int] | None = None,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-):
-    """Vectorized twin of :func:`repro.memsim.trace.expand_trace_chunks`.
+) -> np.ndarray:
+    """Vectorized twin of :func:`repro.memsim.trace.expand_trace`.
 
-    Yields the identical int64 chunk sequence — same addresses, same
-    per-event chunk boundaries — computed from the array representation
-    with no per-event Python loop: every event is decomposed into
-    column *pieces* (contiguous line runs), piece address counts are
-    computed in bulk, chunk boundaries fall out of one cumulative sum,
-    and each chunk materializes with a single ragged-arange.
+    Returns the identical int64 address stream, computed from the array
+    representation with no per-event Python loop: every event is
+    decomposed into column *pieces* (contiguous line runs), piece bounds
+    and address counts are computed in bulk, and the preallocated output
+    is filled by one ragged-arange per :data:`EXPAND_SLICE` addresses.
     """
     n_events = table.n_events
     if n_events == 0:
-        return
+        return np.zeros(0, dtype=np.int64)
     sizes = space_sizes or {}
     uniq, base_by_uniq = _assign_bases(table, machine, sizes)
     item = machine.itemsize
@@ -850,31 +842,17 @@ def expand_table_chunks(
     alo = lo - lo % line
     piece_counts = (hi - hi % line - alo) // line + 1
 
-    # -- per-event address totals -> chunk boundaries ------------------
-    addr_per_event = np.zeros(n_events, np.int64)
-    job_event = np.repeat(np.arange(n_events, dtype=np.int64), jobs_per_event)
-    np.add.at(addr_per_event, job_event, piece_counts)
-    addr_csum = np.concatenate([np.zeros(1, np.int64), np.cumsum(addr_per_event)])
-    job_csum = np.concatenate([np.zeros(1, np.int64), np.cumsum(jobs_per_event)])
-    cur = 0
-    while cur < n_events:
-        cut = int(np.searchsorted(addr_csum, addr_csum[cur] + max_elements, "left"))
-        cut = max(cur + 1, min(cut, n_events))
-        j0, j1 = int(job_csum[cur]), int(job_csum[cut])
-        sel_counts = piece_counts[j0:j1]
-        yield np.repeat(alo[j0:j1], sel_counts) + line * _ranged(sel_counts)
-        cur = cut
-
-
-def expand_table(
-    table: EventTable,
-    machine: MachineModel,
-    space_sizes: dict[int, int] | None = None,
-) -> np.ndarray:
-    """One-shot form of :func:`expand_table_chunks`."""
-    chunks = list(expand_table_chunks(table, machine, space_sizes))
-    if not chunks:
-        return np.zeros(0, dtype=np.int64)
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks)
+    # -- fill the output, one slice of whole pieces at a time ----------
+    bound = np.zeros(piece_counts.size + 1, np.int64)
+    np.cumsum(piece_counts, out=bound[1:])
+    out = np.empty(int(bound[-1]), np.int64)
+    j0 = 0
+    while j0 < piece_counts.size:
+        j1 = int(np.searchsorted(bound, bound[j0] + EXPAND_SLICE, "left"))
+        j1 = min(max(j1, j0 + 1), piece_counts.size)
+        counts = piece_counts[j0:j1]
+        out[bound[j0]:bound[j1]] = (
+            np.repeat(alo[j0:j1], counts) + line * _ranged(counts)
+        )
+        j0 = j1
+    return out

@@ -14,6 +14,14 @@ each operand region once (tiles are sized to fit L1, so intra-leaf reuse
 hits by construction); a streamed addition touches each operand once.
 Inter-operation interference — the effect the paper's experiments hinge
 on — is modelled exactly.
+
+Production traces come from the symbolic synthesizer
+(:mod:`repro.memsim.synthesis`), which reproduces this module's output
+byte for byte without executing the multiply.  The executed path here
+is the oracle it is tested against; it also feeds the determinacy-race
+sanitizer and the static checker's cross-checks, which need real
+buffers and SP-tree tasks, and backs the trace store's fallback for
+algorithms the synthesizer has no spec for.
 """
 
 from __future__ import annotations
@@ -33,17 +41,11 @@ __all__ = [
     "TraceEvent",
     "TraceContext",
     "expand_trace",
-    "expand_trace_chunks",
     "run_traced_multiply",
     "trace_multiply",
     "view_buffer",
     "view_region",
 ]
-
-# Default ceiling on elements held by the streaming expander before a
-# chunk is emitted (8 MB of int64 addresses).
-DEFAULT_CHUNK_ELEMENTS = 1 << 20
-
 
 @dataclasses.dataclass(frozen=True)
 class Region:
@@ -284,61 +286,6 @@ def _mul_addresses(ev: TraceEvent, bases: dict[int, int], machine: MachineModel)
     return pieces
 
 
-def expand_trace_chunks(
-    events: list[TraceEvent],
-    machine: MachineModel,
-    space_sizes: dict[int, int] | None = None,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-):
-    """Stream the line-granularity byte-address trace in bounded chunks.
-
-    Yields int64 address arrays whose concatenation equals
-    :func:`expand_trace`'s output, holding at most ``max_elements``
-    addresses (plus one event's expansion) at a time; :func:`expand_trace`
-    concatenates them.
-
-    ``events`` may also be a :class:`repro.memsim.synthesis.EventTable`
-    (the structure-of-arrays representation the symbolic synthesizer
-    emits); it expands through the vectorized path to the byte-identical
-    chunk sequence.
-    """
-    from repro.memsim.synthesis import EventTable, expand_table_chunks
-
-    if isinstance(events, EventTable):
-        yield from expand_table_chunks(events, machine, space_sizes, max_elements)
-        return
-    aspace = AddressSpace(machine)
-    sizes = space_sizes or {}
-    bases: dict[int, int] = {}
-
-    def base_of(space: int) -> int:
-        if space not in bases:
-            bases[space] = aspace.base(space, sizes.get(space, 0) * machine.itemsize)
-        return bases[space]
-
-    pieces: list[np.ndarray] = []
-    held = 0
-    for ev in events:
-        for r in ev.reads + (ev.write,):
-            base_of(r.space)
-        if ev.kind == "mul" and len(ev.reads) == 2:
-            new = _mul_addresses(ev, bases, machine)
-        else:
-            new = [
-                region_line_addresses(r, bases[r.space], machine)
-                for r in ev.reads + (ev.write,)
-            ]
-        for p in new:
-            pieces.append(p)
-            held += p.size
-        if held >= max_elements:
-            yield np.concatenate(pieces)
-            pieces = []
-            held = 0
-    if pieces:
-        yield np.concatenate(pieces)
-
-
 def expand_trace(
     events: list[TraceEvent],
     machine: MachineModel,
@@ -348,15 +295,29 @@ def expand_trace(
 
     Streamed additions touch each operand line once; leaf multiplies are
     expanded with the leaf kernel's reuse pattern (see
-    :func:`_mul_addresses`).  One-shot form of
-    :func:`expand_trace_chunks`.
+    :func:`_mul_addresses`).  Buffers get their base addresses in
+    first-touch order, reads before the write of each event.
     """
-    chunks = list(expand_trace_chunks(events, machine, space_sizes))
-    if not chunks:
+    aspace = AddressSpace(machine)
+    sizes = space_sizes or {}
+    bases: dict[int, int] = {}
+    pieces: list[np.ndarray] = []
+    for ev in events:
+        for r in ev.reads + (ev.write,):
+            if r.space not in bases:
+                bases[r.space] = aspace.base(
+                    r.space, sizes.get(r.space, 0) * machine.itemsize
+                )
+        if ev.kind == "mul" and len(ev.reads) == 2:
+            pieces.extend(_mul_addresses(ev, bases, machine))
+        else:
+            pieces.extend(
+                region_line_addresses(r, bases[r.space], machine)
+                for r in ev.reads + (ev.write,)
+            )
+    if not pieces:
         return np.zeros(0, dtype=np.int64)
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks)
+    return np.concatenate(pieces)
 
 
 def run_traced_multiply(

@@ -33,6 +33,7 @@ into cache hits.  ``REPRO_SERVE_MAX_RETRIES`` bounds the loop.
 from __future__ import annotations
 
 import queue
+import signal
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -48,15 +49,21 @@ __all__ = ["Job", "JobManager"]
 
 
 def _serve_pool_init(obs_enabled: bool, worker_dir: str | None) -> None:
-    """Worker initializer: import the serve point registry, then defer
-    to the sweep pool's own initializer.
+    """Worker initializer: restore the default signal handlers, import
+    the serve point registry, then defer to the sweep pool's own
+    initializer.
 
-    Workers resolve point functions by name out of
+    A forked worker inherits the server's SIGTERM/SIGINT handlers, which
+    stop a serve loop the worker never runs: the signal would be
+    swallowed and the worker outlive the server.  Workers resolve point
+    functions by name out of
     :data:`repro.analysis.parallel.POINT_FUNCTIONS`; importing
     :mod:`repro.serve.protocol` here registers the service's own points
     (the fault-injection figure) under every start method, not just
     ``fork``.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     import repro.serve.protocol  # noqa: F401  (registers serve.* points)
 
     parallel._pool_init(obs_enabled, worker_dir)

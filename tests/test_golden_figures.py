@@ -28,6 +28,7 @@ from repro.analysis.experiments import (
 )
 from repro.matrix.tile import TileRange
 from repro.memsim.machine import scaled
+from repro.memsim.synthesis import UnsupportedSynthesis
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -98,31 +99,59 @@ def test_golden_parallel(name, jobs, request):
     assert path.read_bytes() == _serialize(CASES[name](jobs))
 
 
-#: The memsim-backed figures: their traces come from the symbolic
-#: synthesizer by default, from the executed tracer when it is off.
+#: The memsim-backed figures: every multiply trace they simulate comes
+#: from the symbolic synthesizer, or from the executed tracer when the
+#: synthesizer is made to refuse.
 SIM_CASES = ("fig4", "fig5", "fig6sim", "fig6ms")
+
+
+def _refuse(*args, **kwargs):
+    raise UnsupportedSynthesis("synthesis refused by the test")
+
+
+def _forbid(*args, **kwargs):
+    raise AssertionError("the executed tracer ran on the synthesis path")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("synthesis", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
 def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
-    """Goldens hold byte-identical with trace synthesis on (default) and
-    off (executed-tracer oracle), serially and under a 2-worker pool.
+    """Goldens hold byte-identical from either trace source, serially
+    and under a 2-worker pool.
 
-    The trace cache is disabled so each leg really computes its traces
-    through the selected path instead of reading the other leg's bytes.
+    ``synthesis="1"`` forbids the executed tracer, so every multiply
+    trace is synthesized; ``"0"`` makes the synthesizer refuse, so the
+    store's :class:`UnsupportedSynthesis` fallback builds every one with
+    ``trace_multiply`` + ``expand_trace`` (the executed-tracer oracle).
+    Forked pool workers inherit the patch.  The trace cache is disabled
+    so each case computes its traces instead of reading stored bytes,
+    and the serial oracle case counts tracer calls so it cannot pass
+    vacuously.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
     from repro.memsim import store as store_mod
 
-    monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", synthesis)
+    calls = []
+    if synthesis == "1":
+        monkeypatch.setattr(store_mod, "trace_multiply", _forbid)
+    else:
+        tracer = store_mod.trace_multiply
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tracer(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "synthesize_multiply", _refuse)
+        monkeypatch.setattr(store_mod, "trace_multiply", counted)
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setattr(store_mod, "_DEFAULT", None)
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"
     assert path.read_bytes() == _serialize(CASES[name](jobs))
+    if synthesis == "0" and jobs == 1:
+        assert calls, "no multiply trace came from the executed tracer"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

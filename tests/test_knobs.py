@@ -18,9 +18,9 @@ class TestParsing:
 
     def test_unset_takes_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_SYNTHESIS", raising=False)
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         assert knobs.flag("REPRO_OBS") is False
-        assert knobs.flag("REPRO_TRACE_SYNTHESIS") is True  # default-on
+        assert knobs.flag("REPRO_TRACE_CACHE") is True  # default-on
 
     def test_empty_string_is_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "   ")
@@ -63,7 +63,7 @@ class TestRegistry:
         names = knobs.declared_names()
         for expected in (
             "REPRO_OBS", "REPRO_OBS_DIR", "REPRO_JOBS",
-            "REPRO_DETERMINISTIC_TIMING", "REPRO_TRACE_SYNTHESIS",
+            "REPRO_DETERMINISTIC_TIMING",
             "REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_DIR",
             "REPRO_STATICCHECK_DEPTH",
             "REPRO_SERVE_HOST", "REPRO_SERVE_PORT", "REPRO_SERVE_JOBS",

@@ -22,8 +22,7 @@ from repro.memsim.engines import (
     stable_argsort_bounded,
     stack_distances,
 )
-from repro.memsim.machine import CacheGeometry, ultrasparc_like
-from repro.memsim.trace import expand_trace, expand_trace_chunks, trace_multiply
+from repro.memsim.machine import CacheGeometry
 
 
 def oracle_fa_hits(keys, capacity):
@@ -187,16 +186,3 @@ class TestPrimitives:
         assert np.array_equal(
             stable_argsort_bounded(arr), np.argsort(arr, kind="stable")
         )
-
-
-class TestChunkedEquivalence:
-    def test_expand_trace_chunks_concat(self):
-        machine = ultrasparc_like()
-        events, sizes = trace_multiply("standard", "LZ", 64, 16)
-        whole = expand_trace(events, machine, sizes)
-        chunks = list(
-            expand_trace_chunks(events, machine, sizes, max_elements=1000)
-        )
-        assert len(chunks) > 1
-        assert all(c.size <= 1000 + 3 * whole.size // len(events) for c in chunks)
-        assert np.array_equal(np.concatenate(chunks), whole)

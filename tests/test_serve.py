@@ -23,11 +23,16 @@ What is pinned:
   corrupt-artifact machinery as ``tests/test_store_concurrency.py``).
 * **Disconnect hygiene.**  A client that vanishes mid-request leaves
   no orphaned queued/running job behind.
+* **Process hygiene.**  A pool worker exits on SIGTERM, and the hard
+  teardown kills the server's whole process group, so no worker
+  outlives its server.
 """
 
+import contextlib
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -60,6 +65,14 @@ def _serialize(rows) -> bytes:
     return (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a server started in its own session, with every pool
+    worker it forked, and reap the server."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=10)
+
+
 class ServerUnderTest:
     """One ``repro serve`` subprocess plus a client pointed at it."""
 
@@ -81,13 +94,14 @@ class ServerUnderTest:
             text=True,
             env=env,
             cwd=REPO_ROOT,
+            start_new_session=True,
         )
         # Readiness contract: first stdout line names the bound port
         # (EOF here means the server died; surface its stderr).
         line = self.proc.stdout.readline()
         match = READY_RE.search(line)
         if not match:
-            self.proc.kill()
+            _kill_group(self.proc)
             raise AssertionError(
                 f"no readiness line (got {line!r}); stderr:\n"
                 f"{self.proc.stderr.read()}"
@@ -97,9 +111,12 @@ class ServerUnderTest:
         self.client.wait_ready(timeout=30.0)
 
     def kill(self) -> None:
-        """Hard teardown: never leaves an orphan, even on test failure."""
-        self.proc.kill()
-        self.proc.wait(timeout=10)
+        """Hard teardown: never leaves an orphan, even on test failure.
+
+        The server runs in its own session, so one SIGKILL to its
+        process group also takes the pool workers it forked.
+        """
+        _kill_group(self.proc)
         self.proc.stdout.close()
         self.proc.stderr.close()
 
@@ -444,3 +461,50 @@ def test_client_disconnect_leaves_no_orphaned_job(server):
         time.sleep(0.2)
     code, _ = server.client.healthz()
     assert code == 200
+
+
+# -- process hygiene ---------------------------------------------------
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the live processes whose parent is ``pid``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+            if int(ppid) == pid and state != "Z":
+                kids.append(int(stat.parent.name))
+    return kids
+
+
+def _survivors(pids: list[int], timeout: float) -> list[int]:
+    """The pids still running after up to ``timeout`` seconds; a zombie
+    awaiting its reaper has exited and counts as gone."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = []
+        for pid in pids:
+            with contextlib.suppress(OSError):
+                stat = Path(f"/proc/{pid}/stat").read_text()
+                if stat.rsplit(")", 1)[1].split()[0] != "Z":
+                    alive.append(pid)
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
+def test_pool_workers_stop_on_sigterm_and_teardown(tmp_path):
+    """A pool worker exits on SIGTERM instead of running the server's
+    shutdown handler, and ``kill()`` leaves no worker behind."""
+    srv = ServerUnderTest(tmp_path)
+    try:
+        srv.client.rows("fig6sim", GOLDEN_PARAMS, jobs=2)
+        workers = _children(srv.proc.pid)
+        assert workers, "a jobs=2 sweep started no pool worker"
+        os.kill(workers[0], signal.SIGTERM)
+        assert not _survivors(workers[:1], timeout=10.0), (
+            "a pool worker ignored SIGTERM"
+        )
+    finally:
+        srv.kill()
+    assert not _survivors(workers, timeout=10.0)

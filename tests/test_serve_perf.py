@@ -18,9 +18,11 @@ a fixed workload and pin:
   perturbed row count trips the gate.
 """
 
+import contextlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,7 @@ def _run_session(workdir: Path) -> dict:
         text=True,
         env=env,
         cwd=REPO_ROOT,
+        start_new_session=True,
     )
     try:
         line = proc.stdout.readline()
@@ -80,7 +83,9 @@ def _run_session(workdir: Path) -> dict:
         assert history_path, "shutdown did not flush a history record"
         proc.wait(timeout=30)
     finally:
-        proc.kill()
+        # The server's own session: this also kills its pool workers.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stdout.close()
         proc.stderr.close()

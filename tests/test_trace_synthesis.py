@@ -1,33 +1,41 @@
 """Symbolic trace synthesis vs the executed tracer: byte identity.
 
-The synthesizer's whole contract is that its structure-of-arrays event
-tables expand to the *same bytes* the executed path produces — same
-addresses, same order, same per-event chunk boundaries.  The property
-tests here sweep every traceable algorithm x layout pair over mixed
-sizes (pow-2 grids where templates repeat exactly, padded sizes where
-the tiling rounds up) and compare streams literally.
+Synthesis is the only production trace source, and these tests are
+where the executed tracer still checks it.  The synthesizer's whole
+contract is that its structure-of-arrays event tables expand to the
+*same bytes* the executed path produces — same addresses, same order.
+The property tests here sweep every traceable algorithm x layout pair
+over mixed sizes (pow-2 grids where templates repeat exactly, padded
+sizes where the tiling rounds up) and compare streams literally; they
+also hold the vectorized expander to the executed one on the synthetic
+event sources, whatever its fill slice, and the false-sharing table's
+owners and statistics to their executed-trace values.
+``tests/test_golden_figures.py`` runs the whole memsim-backed figures
+from each source against the goldens.
 """
 
 import numpy as np
 import pytest
 
 from repro.layouts.registry import PAPER_LAYOUTS
+from repro.memsim import store as store_mod
+from repro.memsim import synthesis
+from repro.memsim.coherence import assign_by_output, false_sharing_stats
 from repro.memsim.machine import scaled, ultrasparc_like
-from repro.memsim.store import cached_multiply_trace
+from repro.memsim.store import TraceStore, cached_multiply_trace
 from repro.memsim.synthesis import (
     EventTable,
     SynthesisContext,
     UnsupportedSynthesis,
     expand_table,
-    expand_table_chunks,
-    synthesis_enabled,
     synthesize_multiply,
 )
-from repro.memsim.trace import (
-    expand_trace,
-    expand_trace_chunks,
-    trace_multiply,
+from repro.memsim.synthetic import (
+    blocked_canonical_events,
+    dense_standard_events,
+    dense_strassen_events,
 )
+from repro.memsim.trace import expand_trace, trace_multiply
 
 MACH = scaled(4)
 
@@ -94,31 +102,63 @@ class TestByteIdentity:
         )
 
 
+#: The synthetic event sources the trace store expands through tables.
+SYNTHETIC_SOURCES = {
+    "dense_standard": dense_standard_events,
+    "dense_strassen": lambda n, tile: dense_strassen_events(n, tile, depth=2),
+    "blocked_canonical": blocked_canonical_events,
+}
+
+
+class TestSyntheticSources:
+    @pytest.mark.parametrize("machine", (MACH, ultrasparc_like()),
+                             ids=("scaled4", "ultrasparc"))
+    @pytest.mark.parametrize("n", (24, 61))
+    @pytest.mark.parametrize("source", sorted(SYNTHETIC_SOURCES))
+    def test_table_expansion_identical(self, source, n, machine):
+        """What the store's synthetic builder expands equals the
+        executed expander's stream, event by event."""
+        events = SYNTHETIC_SOURCES[source](n, 8)
+        ref = expand_trace(events, machine)
+        got = expand_table(EventTable.from_events(events), machine)
+        assert ref.dtype == got.dtype == np.int64
+        assert np.array_equal(ref, got)
+
+
 class TestChunkBoundaries:
-    @pytest.mark.parametrize("max_elements", (1, 777, 4096))
+    @pytest.mark.parametrize("slice_size", (1, 7, 777, 4096))
     @pytest.mark.parametrize("algorithm", ("standard", "strassen"))
-    def test_chunks_identical(self, algorithm, max_elements):
+    def test_chunks_identical(self, algorithm, slice_size, monkeypatch):
+        """:func:`expand_table` fills its output in slices of whole
+        pieces, ``EXPAND_SLICE`` addresses or more each; the slice
+        boundaries leave no mark, from one piece per slice up."""
         events, sizes = _executed(algorithm, "LZ", 24)
         table, ssizes = _synthesized(algorithm, "LZ", 24)
-        ref = list(expand_trace_chunks(events, MACH, sizes, max_elements=max_elements))
-        got = list(
-            expand_table_chunks(table, MACH, ssizes, max_elements=max_elements)
-        )
-        assert [c.size for c in ref] == [c.size for c in got]
-        for r, g in zip(ref, got):
-            assert np.array_equal(r, g)
+        ref = expand_trace(events, MACH, sizes)
+        monkeypatch.setattr(synthesis, "EXPAND_SLICE", slice_size)
+        assert np.array_equal(ref, expand_table(table, MACH, ssizes))
 
-    def test_expand_trace_chunks_dispatches_tables(self):
-        """The executed-path entry point accepts EventTable directly."""
-        events, sizes = _executed("standard", "LU", 16)
-        table, ssizes = _synthesized("standard", "LU", 16)
-        via_dispatch = list(
-            expand_trace_chunks(table, MACH, ssizes, max_elements=512)
-        )
-        ref = list(expand_trace_chunks(events, MACH, sizes, max_elements=512))
-        assert [c.size for c in via_dispatch] == [c.size for c in ref]
-        for r, g in zip(ref, via_dispatch):
-            assert np.array_equal(r, g)
+
+class TestFalseSharingEvents:
+    @pytest.mark.parametrize("procs", (2, 4))
+    @pytest.mark.parametrize("n", (61, 64))
+    def test_owners_and_stats_match_executed(self, n, procs):
+        """``false_sharing_table``'s LZ column reads synthesized events;
+        the owners and statistics equal the executed trace's."""
+        mach = ultrasparc_like()
+
+        def sharing(events, sizes):
+            c_space = events[0].write.space
+            owner = assign_by_output(
+                events, procs, c_space, n, tiled_total=sizes[c_space]
+            )
+            return owner, false_sharing_stats(events, owner, mach, sizes)
+
+        ref_owner, ref_stats = sharing(*_executed("standard", "LZ", n))
+        table, sizes = _synthesized("standard", "LZ", n)
+        owner, stats = sharing(table.to_events(), sizes)
+        assert np.array_equal(owner, ref_owner)
+        assert stats == ref_stats
 
 
 class TestEventTable:
@@ -199,23 +239,27 @@ class TestUnsupportedFallback:
         with pytest.raises(UnsupportedSynthesis):
             synthesize_multiply("nosuch", "LZ", 16, 8)
 
-    def test_flag_gates_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_SYNTHESIS", raising=False)
-        assert synthesis_enabled()
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "0")
-        assert not synthesis_enabled()
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "1")
-        assert synthesis_enabled()
+    def test_store_builder_identical_on_and_off(self, monkeypatch):
+        """The store's multiply builder gives the same bytes with
+        synthesis on (default) and off (its fallback to the tracer)."""
+        calls = []
+        tracer = store_mod.trace_multiply
 
-    def test_store_builder_identical_on_and_off(self, monkeypatch, tmp_path):
-        from repro.memsim.store import TraceStore
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tracer(*args, **kwargs)
 
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "1")
+        def refuse(*args, **kwargs):
+            raise UnsupportedSynthesis("synthesis refused by the test")
+
+        monkeypatch.setattr(store_mod, "trace_multiply", counted)
         on = cached_multiply_trace(
             "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
         )
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "0")
+        assert not calls
+        monkeypatch.setattr(store_mod, "synthesize_multiply", refuse)
         off = cached_multiply_trace(
             "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
         )
+        assert len(calls) == 1
         assert np.array_equal(on, off)
