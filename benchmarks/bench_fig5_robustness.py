@@ -14,12 +14,9 @@ from repro.analysis.figures import FIGURES
 from repro.analysis.report import ascii_plot, format_table
 from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import ultrasparc_like
-from repro.memsim.store import (
-    cached_multiply_stats,
-    cached_multiply_trace,
-    cached_synthetic_stats,
-    cached_synthetic_trace,
-)
+from repro.memsim.store import cached_multiply_stats, cached_synthetic_stats
+from repro.memsim.synthesis import EventTable, expand_table, synthesize_multiply
+from repro.memsim.synthetic import dense_standard_events
 
 N_VALUES = list(range(248, 281, 4))
 KEYS = ["standard_LC", "standard_LZ", "strassen_LC", "strassen_LZ"]
@@ -27,7 +24,9 @@ KEYS = ["standard_LC", "standard_LZ", "strassen_LC", "strassen_LZ"]
 
 def test_cache_simulation_throughput(benchmark):
     mach = ultrasparc_like()
-    addrs = cached_synthetic_trace("dense_standard", mach, n=128, tile=16)
+    addrs = expand_table(
+        EventTable.from_events(dense_standard_events(n=128, tile=16)), mach
+    )
     stats = benchmark(simulate_hierarchy, addrs, mach)
     assert stats.accesses == len(addrs)
 
@@ -110,11 +109,11 @@ def test_e12_conflict_miss_classification(benchmark):
         rows = []
         for label, n in (("LC", 250), ("LC", 256), ("LZ", 256)):
             if label == "LC":
-                addrs = cached_synthetic_trace(
-                    "dense_standard", mach, n=n, tile=tile
-                )
+                events = dense_standard_events(n=n, tile=tile)
+                addrs = expand_table(EventTable.from_events(events), mach)
             else:
-                addrs = cached_multiply_trace("standard", "LZ", n, tile, mach)
+                table, sizes = synthesize_multiply("standard", "LZ", n, tile)
+                addrs = expand_table(table, mach, sizes)
             b = classify_misses(addrs, mach.l1)
             rows.append(
                 [f"{label} n={n}", b.compulsory, b.capacity, b.conflict,

@@ -32,10 +32,10 @@ def pytest_terminal_summary(terminalreporter):
         tr.write_sep("-", "trace cache")
         tr.write_line(
             f"root={store.root}  "
-            f"traces: {c['trace_hits']} hit / {c['trace_misses']} miss  "
+            f"profiles: {c['profile_hits']} hit / {c['profile_misses']} miss  "
             f"stats: {c['stats_hits']} hit / {c['stats_misses']} miss"
         )
-        if c["trace_misses"] == 0 and c["stats_misses"] == 0:
+        if c["profile_misses"] == 0 and c["stats_misses"] == 0:
             tr.write_line("warm cache: no trace was re-expanded this run")
     # Provenance: pin this bench run to commit/seed/cache state so its
     # numbers (and any --benchmark-json output) can be traced back.

@@ -63,7 +63,12 @@ from repro.memsim.machine import (
     ultrasparc_like,
 )
 from repro.memsim.multiconfig import build_profile
-from repro.memsim.store import cached_multiply_trace, default_store
+from repro.memsim.store import (
+    TraceStore,
+    _multiply_fields,
+    cached_multiply_stats,
+    default_store,
+)
 from repro.memsim.synthesis import expand_table, synthesize_multiply
 from repro.memsim.trace import expand_trace, trace_multiply
 from repro.obs.manifest import build_manifest
@@ -71,6 +76,17 @@ from repro.obs.manifest import build_manifest
 N = 256
 TILE = 16
 TARGET = int(os.environ.get("SMOKE_ACCESSES", 1_000_000))
+
+
+def synthesized_trace(n: int, tile: int, machine) -> np.ndarray:
+    """The standard/L_Z multiply's address trace, built as a profile miss
+    builds it: symbolic synthesis, then vectorized expansion."""
+    table, sizes = synthesize_multiply("standard", "LZ", n, tile)
+    return expand_table(table, machine, sizes)
+
+
+def refuse_build() -> np.ndarray:
+    raise AssertionError("a warm profile read rebuilt its trace")
 
 
 def timed(fn, *args, repeats: int = 3):
@@ -135,19 +151,29 @@ def main(argv=None) -> None:
     mach = ultrasparc_like()
     modern = modern_like()
 
-    # Expand the real trace through the content-addressed store: the
-    # counters below make cache behaviour visible (a keying regression
-    # that silently re-simulates everything shows up as misses on a
-    # warm store).
+    # Cold: build the real trace, the work a profile miss pays first.
+    t0 = time.perf_counter()
+    addresses = synthesized_trace(N, TILE, mach)
+    expand_seconds = time.perf_counter() - t0
+
+    # Warm: one stats call fills the content-addressed store, then a
+    # fresh handle on the same root answers the trace's profile from
+    # its .npz, the read a warm sweep pays instead of a rebuild.  The
+    # counters make cache behaviour visible (a keying regression that
+    # silently rebuilds everything shows up as misses on a warm store).
     store = default_store()
     store.reset_counters()
-    t0 = time.perf_counter()
-    addresses = cached_multiply_trace("standard", "LZ", N, TILE, mach, store=store)
-    expand_seconds = time.perf_counter() - t0
+    cached_multiply_stats("standard", "LZ", N, TILE, mach, store=store)
     cold_counters = store.counters()
+    fresh = TraceStore(root=store.root)
+    fields = _multiply_fields("standard", "LZ", N, TILE, "accumulate", None)
     t0 = time.perf_counter()
-    cached_multiply_trace("standard", "LZ", N, TILE, mach, store=store)
+    fresh.profile(fields, mach, refuse_build)
     warm_seconds = time.perf_counter() - t0
+    assert fresh.counters()["profile_hits"] == 1, (
+        f"warm profile read missed the store at {store.root} "
+        f"(REPRO_TRACE_CACHE must be on): {fresh.counters()}"
+    )
     if addresses.size < TARGET:
         addresses = np.tile(addresses, -(-TARGET // addresses.size))
     addresses = addresses[:TARGET]
@@ -165,16 +191,19 @@ def main(argv=None) -> None:
         },
         "trace_cache": {
             "enabled": store.enabled,
-            "first_call_was_hit": cold_counters["trace_hits"] > 0,
+            # No profile built: the store already held the trace's
+            # stats (which never reach the profile) or its profile.
+            "first_call_was_hit": cold_counters["profile_misses"] == 0,
             **store.counters(),
         },
         "engines": {},
     }
     c = store.counters()
     print(
-        f"trace cache ({'on' if store.enabled else 'off'}): "
-        f"{c['trace_hits']} hit / {c['trace_misses']} miss; "
-        f"cold expand {expand_seconds:.3f}s, warm {warm_seconds:.4f}s"
+        f"trace cache ({'on' if store.enabled else 'off'}): profiles "
+        f"{c['profile_hits']} hit / {c['profile_misses']} miss; "
+        f"cold expand {expand_seconds:.3f}s, warm profile read "
+        f"{warm_seconds:.4f}s"
     )
 
     def record(name, engine_seconds, ref_seconds=None):
@@ -370,9 +399,7 @@ def main(argv=None) -> None:
         for tlb in (8, 32)
     ]
     mc_n, mc_tile = 64, 8
-    mc_addresses = cached_multiply_trace(
-        "standard", "LZ", mc_n, mc_tile, mc_machines[0], store=store
-    )
+    mc_addresses = synthesized_trace(mc_n, mc_tile, mc_machines[0])
 
     def run_replay():
         return [simulate_hierarchy(mc_addresses, m) for m in mc_machines]

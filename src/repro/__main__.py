@@ -136,7 +136,7 @@ def _cmd_staticcheck(args) -> None:
     from repro.layouts.registry import RECURSIVE_LAYOUTS
     from repro.sanitize import resolve_layout
     from repro.staticcheck import (
-        default_depth,
+        DEFAULT_DEPTH,
         reports_to_json,
         staticcheck_multiply,
     )
@@ -153,7 +153,7 @@ def _cmd_staticcheck(args) -> None:
     if args.json:
         print(reports_to_json(reports))
     else:
-        depth = args.depth if args.depth is not None else default_depth()
+        depth = args.depth if args.depth is not None else DEFAULT_DEPTH
         print(format_table(
             ["algorithm", "layout", "events", "tasks", "races",
              "templates", "rep scans", "verdict"],
@@ -434,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--layout", "-l", default=None,
                    help="layout name or alias (default: all recursive + LC)")
     s.add_argument("--depth", type=int, default=None,
-                   help="symbolic unroll depth "
-                        "(default: REPRO_STATICCHECK_DEPTH, else 4)")
+                   help="symbolic unroll depth (default: 4)")
     s.add_argument("--mode", default="accumulate",
                    help="standard algorithm spawn structure (accumulate|temps)")
     s.add_argument("--proofs", action="store_true",
@@ -470,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port; 0 binds an ephemeral port "
                         "(default: REPRO_SERVE_PORT)")
     s.add_argument("--jobs", "-j", type=int, default=None,
-                   help="worker-pool width (default: REPRO_SERVE_JOBS, "
-                        "else REPRO_JOBS, else cpu count)")
+                   help="worker-pool width (default: REPRO_JOBS, "
+                        "else cpu count)")
     s.add_argument("--append-history", action="store_true",
                    help="write a serve:session record to the perf-history "
                         "'serve' stream on shutdown")

@@ -121,7 +121,8 @@ class SweepPoint:
     #: Work-sharing key: points with equal non-None groups simulate the
     #: same trace (e.g. machine-model sweeps over one multiply), so the
     #: pooled executor schedules them onto one worker where the warm
-    #: reuse-distance profile answers every member after the first.
+    #: in-memory reuse-distance profile answers every member after the
+    #: first, with no trace rebuilt and no profile re-read from disk.
     group: str | None = None
 
     def kwargs(self) -> dict[str, Any]:
@@ -221,7 +222,7 @@ def _worker_call_batch(points: Sequence[SweepPoint]) -> list[dict]:
 
     Each point still produces its own :func:`_worker_call` payload (the
     per-task counter/obs delta contract is unchanged); co-locating the
-    group simply means members after the first find the trace and its
+    group simply means members after the first find the trace's
     reuse-distance profile warm in this process's store.
     """
     return [_worker_call(p) for p in points]

@@ -128,7 +128,7 @@ declare(
     "REPRO_TRACE_CACHE",
     "flag",
     True,
-    "Use the content-addressed on-disk trace/stats cache; set to 0 to "
+    "Use the content-addressed on-disk profile/stats cache; set to 0 to "
     "recompute everything and touch no cache files.",
 )
 declare(
@@ -137,13 +137,6 @@ declare(
     None,
     "Root directory of the trace cache; default: "
     "<repo>/.benchmarks/tracecache.",
-)
-declare(
-    "REPRO_STATICCHECK_DEPTH",
-    "int",
-    4,
-    "Default symbolic unroll depth for `python -m repro staticcheck` "
-    "(the self-similarity certification needs >= 2).",
 )
 declare(
     "REPRO_PERF_HISTORY",
@@ -173,13 +166,6 @@ declare(
     0,
     "TCP port of the simulation service; 0 (the default) binds an "
     "ephemeral port, printed on the readiness line.",
-)
-declare(
-    "REPRO_SERVE_JOBS",
-    "int",
-    None,
-    "Worker-process count of the service's shared sweep pool "
-    "(default: REPRO_JOBS, else os.cpu_count()).",
 )
 declare(
     "REPRO_SERVE_MAX_RETRIES",
@@ -289,14 +275,16 @@ declare_budget(
     "trace.expand_seconds",
     "lower_better",
     2.0,
-    "Cold-cache trace expansion for the standard/LZ n=256 multiply "
+    "Trace build (synthesis + expansion) of the standard/LZ n=256 "
+    "multiply, the work a profile miss pays before its build "
     "(dominated by one-off work; generous band).",
 )
 declare_budget(
     "trace.warm_expand_seconds",
     "lower_better",
     2.0,
-    "Warm-store trace expansion — the cache-hit path must stay cheap.",
+    "Warm-store read of that trace's reuse profile (.npz) by a fresh "
+    "store handle — the cache-hit path must stay cheap.",
 )
 declare_budget(
     "trace.accesses",

@@ -27,9 +27,7 @@ from repro.memsim.machine import (
 from repro.memsim.store import (
     TraceStore,
     cached_multiply_stats,
-    cached_multiply_trace,
     cached_synthetic_stats,
-    cached_synthetic_trace,
     default_store,
 )
 from repro.memsim.synthetic import dense_standard_events, dense_strassen_events
@@ -70,9 +68,7 @@ __all__ = [
     "ultrasparc_like",
     "TraceStore",
     "cached_multiply_stats",
-    "cached_multiply_trace",
     "cached_synthetic_stats",
-    "cached_synthetic_trace",
     "default_store",
     "dense_standard_events",
     "dense_strassen_events",

@@ -31,8 +31,8 @@ one machine's own associativities (one L2 pass), which is how
 machine.  Configs that change a level's line size or set count (a
 different *family*) need a fresh profile.
 
-Histograms are int64; profiles persist as ``.npz`` beside the traces in
-the :class:`~repro.memsim.store.TraceStore`.
+Histograms are int64; profiles persist as ``.npz`` in the
+:class:`~repro.memsim.store.TraceStore`, which keeps no trace.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class ReuseProfile:
             )
             return MemoryStats(n, l1_misses, l2_misses, tlb_misses, cycles)
 
-    # -- persistence (npz beside the trace artifacts) -------------------
+    # -- persistence (npz in the trace store) ---------------------------
 
     def save(self, fh) -> None:
         """Write the profile to an open binary file as ``.npz``."""

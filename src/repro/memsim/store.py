@@ -1,19 +1,25 @@
-"""Content-addressed on-disk cache of expanded traces and simulation results.
+"""Content-addressed on-disk cache of reuse profiles and simulation results.
 
-Trace expansion (:func:`repro.memsim.synthesis.expand_table`) and hierarchy
-simulation are deterministic functions of a small parameter tuple —
-(algorithm, layout, n, tile, mode, depth) plus the machine geometry.
-Sweeps like Figure 4/5 re-derive the same traces run after run; this
-module memoizes both levels on disk so a warm re-run skips straight to
-the cached :class:`~repro.memsim.hierarchy.MemoryStats`:
+Pricing a multiply on a simulated hierarchy is a deterministic function
+of a small parameter tuple — (algorithm, layout, n, tile, mode, depth)
+plus the machine geometry.  Sweeps like Figure 4/5 re-price the same
+traces run after run; this module memoizes two artifacts on disk so a
+warm re-run skips straight to the cached
+:class:`~repro.memsim.hierarchy.MemoryStats`:
 
-* **traces** — the expanded int64 byte-address stream, stored as
-  ``.npy``.  Keyed only by the trace parameters and the machine fields
-  that affect expansion (L1 line size, page size, item size), so the
-  same trace file serves every cost model sharing that geometry.
+* **profiles** — the trace's
+  :class:`~repro.memsim.multiconfig.ReuseProfile`, stored as ``.npz``.
+  Keyed by the trace parameters, the machine fields that affect
+  expansion (L1 line size, page size, item size) and the machine's
+  config family, so one profile prices every machine model of the
+  family within its caps.
 * **stats** — the simulated :class:`MemoryStats`, stored as JSON.
-  Keyed by the trace key plus the *full* machine model (capacities,
-  associativities, cycle costs) and the ``include_tlb`` flag.
+  Keyed by the trace parameters plus the *full* machine model
+  (capacities, associativities, cycle costs) and the ``include_tlb``
+  flag.
+
+The expanded address trace itself is never persisted: a profile miss
+rebuilds it (:meth:`TraceStore.trace`), profiles it and drops it.
 
 Keys are sha256 over a canonical JSON payload that includes a store
 version; bumping :data:`_STORE_VERSION` invalidates everything at once
@@ -68,9 +74,7 @@ __all__ = [
     "TraceStore",
     "default_store",
     "trace_address",
-    "cached_multiply_trace",
     "cached_multiply_stats",
-    "cached_synthetic_trace",
     "cached_synthetic_stats",
 ]
 
@@ -100,8 +104,22 @@ def _expansion_fingerprint(machine: MachineModel) -> dict:
     }
 
 
+def _profile_key(fields: dict, machine: MachineModel) -> str:
+    """Content key of the profile of ``fields``' trace for ``machine``'s
+    config family."""
+    return TraceStore.key_of(
+        {
+            "kind": "profile",
+            "v": _STORE_VERSION,
+            "fields": fields,
+            "expand": _expansion_fingerprint(machine),
+            "family": dataclasses.asdict(ConfigFamily.of(machine)),
+        }
+    )
+
+
 class TraceStore:
-    """Content-addressed trace/stats cache rooted at one directory."""
+    """Content-addressed profile/stats cache rooted at one directory."""
 
     def __init__(self, root: str | Path | None = None, enabled: bool | None = None):
         if enabled is None:
@@ -112,8 +130,6 @@ class TraceStore:
             )
         self.root = Path(root)
         self.enabled = bool(enabled)
-        self.trace_hits = 0
-        self.trace_misses = 0
         self.stats_hits = 0
         self.stats_misses = 0
         self.profile_hits = 0
@@ -131,8 +147,6 @@ class TraceStore:
     def counters(self) -> dict[str, int]:
         """Current hit/miss counters (for reporting and tests)."""
         return {
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
             "stats_hits": self.stats_hits,
             "stats_misses": self.stats_misses,
             "profile_hits": self.profile_hits,
@@ -141,7 +155,6 @@ class TraceStore:
 
     def reset_counters(self) -> None:
         """Zero all hit/miss counters and the touched-key record."""
-        self.trace_hits = self.trace_misses = 0
         self.stats_hits = self.stats_misses = 0
         self.profile_hits = self.profile_misses = 0
         self._touched.clear()
@@ -163,8 +176,6 @@ class TraceStore:
         Metrics are *not* re-published — the workers already published
         theirs, and the obs merge carries those over separately.
         """
-        self.trace_hits += int(counters.get("trace_hits", 0))
-        self.trace_misses += int(counters.get("trace_misses", 0))
         self.stats_hits += int(counters.get("stats_hits", 0))
         self.stats_misses += int(counters.get("stats_misses", 0))
         self.profile_hits += int(counters.get("profile_hits", 0))
@@ -203,38 +214,15 @@ class TraceStore:
 
     # -- memoization ---------------------------------------------------
 
-    def trace(self, fields: dict, machine: MachineModel, build) -> np.ndarray:
-        """Expanded byte-address trace for ``fields``, memoized on disk.
+    def trace(self, fields: dict, build) -> np.ndarray:
+        """Expanded byte-address trace for ``fields``, built afresh.
 
         ``fields`` must uniquely determine the event stream; ``build()``
-        produces the expanded int64 address array on a miss.
+        produces the expanded int64 address array.  Nothing is read or
+        written: the store persists the trace's profile, not the trace.
         """
-        if not self.enabled:
+        with obs.span("store.trace.build", **fields):
             return np.asarray(build(), dtype=np.int64)
-        key = self.key_of(
-            {
-                "kind": "trace",
-                "v": _STORE_VERSION,
-                "fields": fields,
-                "expand": _expansion_fingerprint(machine),
-            }
-        )
-        path = self._path(key, ".npy")
-        if path.exists():
-            try:
-                arr = np.load(path)
-            except _DAMAGED:
-                pass  # corrupt/partial file: fall through and rebuild
-            else:
-                self.trace_hits += 1
-                self._touch("trace", key, hit=True)
-                return arr
-        self.trace_misses += 1
-        self._touch("trace", key, hit=False)
-        with obs.span("store.trace.build", key=key[:16], **fields):
-            arr = np.asarray(build(), dtype=np.int64)
-        self._write_atomic(path, lambda tmp: np.save(tmp, arr))
-        return arr
 
     def profile(
         self, fields: dict, machine: MachineModel, build_trace
@@ -244,20 +232,13 @@ class TraceStore:
 
         The key covers only the trace identity and the family — every
         machine model differing in capacity, associativity or cycle
-        costs answers from the same artifact.  A persisted profile that
-        cannot price the machine (its L1 associativity is missing, or an
+        costs answers from the same artifact.  A miss rebuilds the
+        trace with ``build_trace``.  A persisted profile that cannot
+        price the machine (its L1 associativity is missing, or an
         associativity or TLB size exceeds the profile's caps) counts as
         a miss and is rebuilt with the union of L1 associativities.
         """
-        key = self.key_of(
-            {
-                "kind": "profile",
-                "v": _STORE_VERSION,
-                "fields": fields,
-                "expand": _expansion_fingerprint(machine),
-                "family": dataclasses.asdict(ConfigFamily.of(machine)),
-            }
-        )
+        key = _profile_key(fields, machine)
         prof = self._profiles.get(key)
         if prof is None:
             path = self._path(key, ".npz")
@@ -275,7 +256,7 @@ class TraceStore:
             return prof
         self.profile_misses += 1
         self._touch("profile", key, hit=False)
-        addrs = self.trace(fields, machine, build_trace)
+        addrs = self.trace(fields, build_trace)
         extra = tuple(prof.l2) if prof is not None else ()
         prof = build_profile(addrs, machine, extra_assocs=extra)
 
@@ -311,7 +292,7 @@ class TraceStore:
         (property-tested against the :class:`LRUCache` oracle).
         """
         if not self.enabled:
-            addrs = np.asarray(build_trace(), dtype=np.int64)
+            addrs = self.trace(fields, build_trace)
             st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
             st.publish()
             return st
@@ -408,7 +389,8 @@ def trace_address(
     mode: str = "accumulate",
     depth: int | None = None,
 ) -> str:
-    """Content address of one multiply's expanded trace.
+    """Content address of one multiply's expanded trace (an identity,
+    not a store file: traces are never persisted).
 
     Sweep drivers group points by this key: two points share it iff
     they simulate the *same* address stream (machine pricing fields do
@@ -422,27 +404,6 @@ def trace_address(
             "fields": _multiply_fields(algorithm, layout, n, tile, mode, depth),
             "expand": _expansion_fingerprint(machine),
         }
-    )
-
-
-def cached_multiply_trace(
-    algorithm: str,
-    layout: str,
-    n: int,
-    tile: int,
-    machine: MachineModel,
-    *,
-    mode: str = "accumulate",
-    depth: int | None = None,
-    store: TraceStore | None = None,
-) -> np.ndarray:
-    """Memoized address trace of one multiply, built by synthesis: the
-    bytes :func:`expand_trace` lowers :func:`trace_multiply`'s events to."""
-    store = store or default_store()
-    return store.trace(
-        _multiply_fields(algorithm, layout, n, tile, mode, depth),
-        machine,
-        _multiply_builder(algorithm, layout, n, tile, machine, mode, depth),
     )
 
 
@@ -487,25 +448,6 @@ def _synthetic_fields(source: str, params: dict) -> dict:
     return {"src": source, **{k: params[k] for k in sorted(params)}}
 
 
-def cached_synthetic_trace(
-    source: str,
-    machine: MachineModel,
-    *,
-    store: TraceStore | None = None,
-    **params,
-) -> np.ndarray:
-    """Memoized expansion of a synthetic event source.
-
-    ``source`` names a generator in :mod:`repro.memsim.synthetic`
-    (``dense_standard``, ``dense_strassen``, ``blocked_canonical``);
-    ``params`` are its keyword arguments (``n``, ``tile``, ...).
-    """
-    store = store or default_store()
-    fields = _synthetic_fields(source, params)
-    build = _synthetic_builder(source, machine, params)
-    return store.trace(fields, machine, build)
-
-
 def cached_synthetic_stats(
     source: str,
     machine: MachineModel,
@@ -514,7 +456,12 @@ def cached_synthetic_stats(
     store: TraceStore | None = None,
     **params,
 ) -> MemoryStats:
-    """Memoized hierarchy simulation of a synthetic event source."""
+    """Memoized hierarchy simulation of a synthetic event source.
+
+    ``source`` names a generator in :mod:`repro.memsim.synthetic`
+    (``dense_standard``, ``dense_strassen``, ``blocked_canonical``);
+    ``params`` are its keyword arguments (``n``, ``tile``, ...).
+    """
     store = store or default_store()
     fields = _synthetic_fields(source, params)
     build = _synthetic_builder(source, machine, params)

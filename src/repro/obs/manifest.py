@@ -1,9 +1,9 @@
 """Run-provenance manifests for experiment and benchmark outputs.
 
 Every number this repo produces is a function of (code, seed, machine
-model, cached traces).  A manifest pins all four next to the output so
-a ``BENCH_*.json`` or a printed figure can be traced back to the exact
-configuration that produced it:
+model, cached profiles and stats).  A manifest pins all four next to
+the output so a ``BENCH_*.json`` or a printed figure can be traced back
+to the exact configuration that produced it:
 
 * ``git`` — commit SHA and dirty flag (best-effort; absent outside a
   work tree or without a ``git`` binary);

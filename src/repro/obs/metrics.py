@@ -9,7 +9,7 @@ registry via the gated helpers (:func:`add`, :func:`gauge`,
 :func:`observe`), and ``python -m repro report`` dumps a snapshot.
 
 Naming convention (dotted, lowercase): ``subsystem.object.metric`` —
-e.g. ``memsim.store.trace_hits``, ``scheduler.ws.steals``,
+e.g. ``memsim.store.profile_hits``, ``scheduler.ws.steals``,
 ``convert.elements``, ``timing.repeats``.  The taxonomy is documented
 in ``docs/MODELING.md`` ("Observability").
 

@@ -127,18 +127,10 @@ def render_report(store=None) -> str:
     c = store.counters()
     lines += _section("trace cache")
     lines.append(f"root: {store.root}  (enabled={store.enabled})")
-    total_trace = c["trace_hits"] + c["trace_misses"]
-    total_stats = c["stats_hits"] + c["stats_misses"]
-    trace_rate = c["trace_hits"] / total_trace if total_trace else 0.0
-    stats_rate = c["stats_hits"] / total_stats if total_stats else 0.0
-    lines.append(
-        f"traces: {c['trace_hits']} hit / {c['trace_misses']} miss "
-        f"(hit rate {trace_rate:.0%})"
-    )
-    lines.append(
-        f"stats:  {c['stats_hits']} hit / {c['stats_misses']} miss "
-        f"(hit rate {stats_rate:.0%})"
-    )
+    for kind, label in (("profile", "profiles:"), ("stats", "stats:   ")):
+        hits, misses = c[f"{kind}_hits"], c[f"{kind}_misses"]
+        rate = hits / (hits + misses) if hits + misses else 0.0
+        lines.append(f"{label} {hits} hit / {misses} miss (hit rate {rate:.0%})")
 
     counts = core.collector().counts()
     totals = core.collector().totals()

@@ -32,9 +32,11 @@ into cache hits.  ``REPRO_SERVE_MAX_RETRIES`` bounds the loop.
 
 from __future__ import annotations
 
+import os
 import queue
 import signal
 import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -48,14 +50,24 @@ from repro.serve.protocol import SweepRequest, build_sweep
 __all__ = ["Job", "JobManager"]
 
 
+def _watch_parent(parent: int) -> None:
+    """Exit this worker once its parent is no longer ``parent``."""
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(1)
+
+
 def _serve_pool_init(obs_enabled: bool, worker_dir: str | None) -> None:
-    """Worker initializer: restore the default signal handlers, import
-    the serve point registry, then defer to the sweep pool's own
-    initializer.
+    """Worker initializer: restore the default signal handlers, start
+    the parent watch, import the serve point registry, then defer to
+    the sweep pool's own initializer.
 
     A forked worker inherits the server's SIGTERM/SIGINT handlers, which
     stop a serve loop the worker never runs: the signal would be
-    swallowed and the worker outlive the server.  Workers resolve point
+    swallowed and the worker outlive the server.  A server killed
+    outright (SIGKILL) runs no handler at all and leaves its workers
+    blocked on the task queue, reparented; the watch thread sees the
+    parent pid change and exits the worker.  Workers resolve point
     functions by name out of
     :data:`repro.analysis.parallel.POINT_FUNCTIONS`; importing
     :mod:`repro.serve.protocol` here registers the service's own points
@@ -64,6 +76,10 @@ def _serve_pool_init(obs_enabled: bool, worker_dir: str | None) -> None:
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    threading.Thread(
+        target=_watch_parent, args=(os.getppid(),),
+        name="serve-parent-watch", daemon=True,
+    ).start()
     import repro.serve.protocol  # noqa: F401  (registers serve.* points)
 
     parallel._pool_init(obs_enabled, worker_dir)
@@ -173,13 +189,8 @@ class JobManager:
     # -- the worker pool -----------------------------------------------
 
     def pool_width(self) -> int:
-        """Worker count: ctor arg > ``REPRO_SERVE_JOBS`` > sweep default."""
-        if self._pool_jobs is not None:
-            return self._pool_jobs
-        configured = knobs.integer("REPRO_SERVE_JOBS")
-        if configured is not None:
-            return max(1, configured)
-        return parallel.resolve_jobs(None)
+        """Worker count: the constructor argument, else the sweep default."""
+        return parallel.resolve_jobs(self._pool_jobs)
 
     def _shared_pool(self, jobs: int) -> _PoolHandle:
         """The persistent pool, built on first use (``jobs`` ignored:

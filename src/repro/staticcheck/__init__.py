@@ -17,9 +17,9 @@ from repro.staticcheck.context import (
     sym_root,
 )
 from repro.staticcheck.verify import (
+    DEFAULT_DEPTH,
     StaticCheckReport,
     all_pairs,
-    default_depth,
     reports_to_json,
     static_trace,
     staticcheck_all,
@@ -27,11 +27,11 @@ from repro.staticcheck.verify import (
 )
 
 __all__ = [
+    "DEFAULT_DEPTH",
     "StaticCheckReport",
     "StaticTraceContext",
     "all_pairs",
     "check_events",
-    "default_depth",
     "reports_to_json",
     "static_trace",
     "staticcheck_all",

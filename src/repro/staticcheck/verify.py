@@ -46,7 +46,7 @@ overlap depends on the absolute byte geometry (line size vs. ``t``), so
 it is not scale-invariant; the dynamic sanitizer remains the tool for
 line-granularity findings at a concrete ``n``.
 
-The default unroll depth (``REPRO_STATICCHECK_DEPTH`` = 4) sizes the
+The default unroll depth (:data:`DEFAULT_DEPTH` = 4) sizes the
 cross-checkable event stream; certification is decided by the signature
 closure, not by the unroll reaching saturation, so the Gray/Hilbert
 layouts (whose orientation sets take six-plus levels to appear in one
@@ -59,7 +59,7 @@ import dataclasses
 import json
 from typing import Any
 
-from repro import knobs, obs
+from repro import obs
 from repro.algorithms.dgemm import ALGORITHMS
 from repro.algorithms.recursion import leaf_multiply
 from repro.layouts.registry import RECURSIVE_LAYOUTS, get_recursive_layout
@@ -81,6 +81,7 @@ from repro.sanitize.run import resolve_layout
 from repro.staticcheck.context import StaticTraceContext, sym_root
 
 __all__ = [
+    "DEFAULT_DEPTH",
     "StaticCheckReport",
     "all_pairs",
     "static_trace",
@@ -91,6 +92,9 @@ __all__ = [
 #: Minimum unroll depth at which the self-similarity certification is
 #: meaningful: one level to expand, one to confirm nothing new appears.
 MIN_CERT_DEPTH = 2
+
+#: Unroll depth when none is given (``repro staticcheck --depth``).
+DEFAULT_DEPTH = 4
 
 #: An expansion signature (hashable tuple; see module docstring).
 Signature = tuple[Any, ...]
@@ -367,12 +371,6 @@ class StaticCheckReport:
         }
 
 
-def default_depth() -> int:
-    """Unroll depth: ``REPRO_STATICCHECK_DEPTH`` (declared default 4)."""
-    depth = knobs.integer("REPRO_STATICCHECK_DEPTH")
-    return 4 if depth is None else depth
-
-
 def staticcheck_multiply(
     algorithm: str,
     layout: str,
@@ -397,7 +395,7 @@ def staticcheck_multiply(
         )
     layout = resolve_layout(layout)
     if depth is None:
-        depth = default_depth()
+        depth = DEFAULT_DEPTH
     if depth < MIN_CERT_DEPTH:
         raise ValueError(
             f"depth must be >= {MIN_CERT_DEPTH} for certification, got {depth}"

@@ -65,8 +65,7 @@ class TestRegistry:
             "REPRO_OBS", "REPRO_OBS_DIR", "REPRO_JOBS",
             "REPRO_DETERMINISTIC_TIMING",
             "REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_DIR",
-            "REPRO_STATICCHECK_DEPTH",
-            "REPRO_SERVE_HOST", "REPRO_SERVE_PORT", "REPRO_SERVE_JOBS",
+            "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
             "REPRO_SERVE_MAX_RETRIES", "REPRO_SERVE_TEST_HOOKS",
         ):
             assert expected in names

@@ -180,7 +180,7 @@ class TestPerfNamespaceRule:
         assert check("I6", (
             'declare_budget("engines.*.speedup", direction="higher_better",\n'
             '               max_regression=0.4, doc="d")\n'
-            'obs.add("memsim.store.trace_hits")\n'
+            'obs.add("memsim.store.profile_hits")\n'
             'obs.observe("convert.seconds", 0.5)\n'
         )) == []
 

@@ -1,4 +1,4 @@
-"""On-disk trace/stats store: roundtrips, counters, keys, knobs."""
+"""On-disk profile/stats store: roundtrips, counters, keys, knobs."""
 
 import json
 
@@ -8,14 +8,15 @@ import pytest
 from repro.memsim import store as store_mod
 from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import modern_like, scaled, ultrasparc_like
+from repro.memsim.multiconfig import ReuseProfile
 from repro.memsim.store import (
     TraceStore,
     cached_multiply_stats,
-    cached_multiply_trace,
     cached_synthetic_stats,
-    cached_synthetic_trace,
     default_store,
 )
+from repro.memsim.synthesis import EventTable, expand_table, synthesize_multiply
+from repro.memsim.synthetic import dense_standard_events
 
 
 @pytest.fixture
@@ -23,71 +24,121 @@ def store(tmp_path):
     return TraceStore(root=tmp_path, enabled=True)
 
 
+@pytest.fixture
+def builds(store, monkeypatch):
+    """Fields of every trace ``store`` builds (one per profile miss)."""
+    calls = []
+    real = store.trace
+
+    def counted(fields, build):
+        calls.append(fields)
+        return real(fields, build)
+
+    monkeypatch.setattr(store, "trace", counted)
+    return calls
+
+
 MACH = scaled(4)
+FIELDS = store_mod._multiply_fields("standard", "LZ", 32, 8, "accumulate", None)
+BUILD = store_mod._multiply_builder("standard", "LZ", 32, 8, MACH, "accumulate", None)
+
+
+def _no_build():
+    raise AssertionError("the store rebuilt a trace it should have read")
+
+
+def _same_profile(a: ReuseProfile, b: ReuseProfile) -> bool:
+    return (
+        a.family == b.family
+        and a.accesses == b.accesses
+        and np.array_equal(a.l1_hist, b.l1_hist)
+        and np.array_equal(a.tlb_hist, b.tlb_hist)
+        and a.l2.keys() == b.l2.keys()
+        and all(np.array_equal(a.l2[k], b.l2[k]) for k in a.l2)
+    )
 
 
 class TestRoundtrip:
-    def test_trace_roundtrip_and_counters(self, store):
-        a1 = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        a2 = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        assert np.array_equal(a1, a2)
-        assert a1.dtype == np.int64
+    def test_profile_roundtrip_and_counters(self, store):
+        stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         assert store.counters() == {
-            "trace_hits": 1,
-            "trace_misses": 1,
+            "stats_hits": 0,
+            "stats_misses": 1,
+            "profile_hits": 0,
+            "profile_misses": 1,
+        }
+        built = store.profile(FIELDS, MACH, _no_build)
+        fresh = TraceStore(root=store.root, enabled=True)
+        loaded = fresh.profile(FIELDS, MACH, _no_build)
+        assert _same_profile(loaded, built)
+        assert loaded.l1_hist.dtype == np.int64
+        assert loaded.query(MACH) == stats
+        assert fresh.counters() == {
             "stats_hits": 0,
             "stats_misses": 0,
-            "profile_hits": 0,
+            "profile_hits": 1,
             "profile_misses": 0,
         }
 
-    def test_stats_roundtrip(self, store):
+    def test_cold_stats_leave_no_trace_file(self, store):
+        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        files = [p for p in store.root.rglob("*") if p.is_file()]
+        assert sorted(p.suffix for p in files) == [".json", ".npz"]
+        assert not list(store.root.rglob("*.npy"))
+
+    def test_stats_roundtrip(self, store, builds):
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         assert s1 == s2
         assert store.stats_hits == 1 and store.stats_misses == 1
-        # The stats hit short-circuits: no trace lookup on the second call.
-        assert store.trace_hits == 0 and store.trace_misses == 1
+        # The stats hit short-circuits: no profile lookup, no trace
+        # build on the second call.
+        assert store.profile_hits == 0 and store.profile_misses == 1
+        assert builds == [FIELDS]
 
     def test_stats_match_direct_simulation(self, store):
-        addrs = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
+        table, sizes = synthesize_multiply("standard", "LZ", 32, 8)
+        addrs = expand_table(table, MACH, sizes)
         cached = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         assert cached == simulate_hierarchy(addrs, MACH)
 
     def test_synthetic_roundtrip(self, store):
-        a1 = cached_synthetic_trace("dense_standard", MACH, n=24, tile=8, store=store)
-        a2 = cached_synthetic_trace("dense_standard", MACH, n=24, tile=8, store=store)
-        assert np.array_equal(a1, a2)
-        s = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
-        assert s == simulate_hierarchy(a1, MACH)
+        s1 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
+        s2 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
+        assert s1 == s2 and store.stats_hits == 1
+        events = dense_standard_events(n=24, tile=8)
+        addrs = expand_table(EventTable.from_events(events), MACH)
+        assert s1 == simulate_hierarchy(addrs, MACH)
 
     def test_unknown_synthetic_source(self, store):
         with pytest.raises(KeyError):
-            cached_synthetic_trace("nope", MACH, n=8, tile=4, store=store)
+            cached_synthetic_stats("nope", MACH, n=8, tile=4, store=store)
 
 
 class TestKeys:
-    def test_distinct_parameters_distinct_entries(self, store):
-        cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        cached_multiply_trace("standard", "LZ", 32, 4, MACH, store=store)
-        cached_multiply_trace("standard", "LU", 32, 8, MACH, store=store)
-        cached_multiply_trace("strassen", "LZ", 32, 8, MACH, store=store)
-        assert store.trace_misses == 4 and store.trace_hits == 0
+    def test_distinct_parameters_distinct_entries(self, store, builds):
+        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 4, MACH, store=store)
+        cached_multiply_stats("standard", "LU", 32, 8, MACH, store=store)
+        cached_multiply_stats("strassen", "LZ", 32, 8, MACH, store=store)
+        assert store.profile_misses == 4 and store.profile_hits == 0
+        assert len(builds) == 4
+        assert len(list(store.root.rglob("*.npz"))) == 4
 
-    def test_machine_pricing_does_not_split_traces(self, store):
-        # Same expansion geometry, different cycle costs: one trace file,
-        # two stats entries.
+    def test_machine_pricing_does_not_split_traces(self, store, builds):
+        # Same expansion geometry, different cycle costs: one trace
+        # build, one profile file, two stats entries.
         import dataclasses
 
         m1 = MACH
         m2 = dataclasses.replace(MACH, mem=500.0)
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, m1, store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, m2, store=store)
-        assert store.trace_misses == 1
+        assert builds == [FIELDS]
         assert store.stats_misses == 2
         # The second machine answers from the warm reuse-distance
-        # profile without even touching the trace artifact.
-        assert store.trace_hits == 0
+        # profile without rebuilding the trace.
+        assert len(list(store.root.rglob("*.npz"))) == 1
         assert store.profile_misses == 1 and store.profile_hits == 1
         assert s1.l1_misses == s2.l1_misses and s1.cycles != s2.cycles
 
@@ -112,13 +163,15 @@ class TestKeys:
 
 
 class TestRobustness:
-    def test_corrupt_trace_file_is_rebuilt(self, store):
-        cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        (npy,) = list(store.root.rglob("*.npy"))
-        npy.write_bytes(b"not a numpy file")
-        again = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        assert store.trace_misses == 2
-        assert np.array_equal(again, np.load(npy))
+    def test_corrupt_profile_file_is_rebuilt(self, store):
+        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        (npz,) = list(store.root.rglob("*.npz"))
+        npz.write_bytes(b"not a numpy file")
+        fresh = TraceStore(root=store.root, enabled=True)
+        again = fresh.profile(FIELDS, MACH, BUILD)
+        assert fresh.profile_misses == 1
+        with open(npz, "rb") as fh:
+            assert _same_profile(again, ReuseProfile.load(fh))
 
     def test_corrupt_stats_file_is_rebuilt(self, store):
         cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
@@ -131,29 +184,34 @@ class TestRobustness:
     @pytest.mark.parametrize(
         "suffix, damage",
         [
-            (".npy", lambda blob: b""),
+            (".json", lambda blob: b""),
             (".npz", lambda blob: b""),
             (".npz", lambda blob: blob[: len(blob) // 2]),
         ],
-        ids=["empty-npy", "empty-npz", "half-npz"],
+        ids=["empty-json", "empty-npz", "half-npz"],
     )
     def test_damaged_artifact_is_rebuilt(self, tmp_path, suffix, damage):
         first = TraceStore(root=tmp_path, enabled=True)
-        trace = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=first)
         stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=first)
-        for js in tmp_path.rglob("*.json"):
-            js.unlink()  # force the next stats call through the profile
+        profile = first.profile(FIELDS, MACH, _no_build)
+        if suffix == ".npz":
+            for js in tmp_path.rglob("*.json"):
+                js.unlink()  # force the next stats call through the profile
         (path,) = list(tmp_path.rglob("*" + suffix))
         path.write_bytes(damage(path.read_bytes()))
         store = TraceStore(root=tmp_path, enabled=True)
-        again = cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
-        assert np.array_equal(again, trace)
         assert cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store) == stats
-        assert store.trace_misses + store.profile_misses == 1
+        assert _same_profile(store.profile(FIELDS, MACH, _no_build), profile)
+        # Exactly the damaged artifact was rebuilt (the deleted stats
+        # of the .npz cases miss too).
+        if suffix == ".json":
+            assert (store.stats_misses, store.profile_misses) == (1, 0)
+        else:
+            assert (store.stats_misses, store.profile_misses) == (1, 1)
         assert path.stat().st_size > 0
 
     def test_reset_counters(self, store):
-        cached_multiply_trace("standard", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         store.reset_counters()
         assert not any(store.counters().values())
 

@@ -24,7 +24,7 @@ def _payloads(size):
         {
             "index": i,
             "row": {"point": i, "value": i * i},
-            "store_counters": {"stats_hits": i, "trace_misses": 1},
+            "store_counters": {"stats_hits": i, "profile_misses": 1},
             "store_touched": {f"stats:key{i}": "hit" if i % 2 else "miss"},
         }
         for i in range(size)
@@ -65,7 +65,7 @@ def test_store_side_effects_invariant_under_completion_order(case):
     finally:
         store_mod._DEFAULT = saved
     assert store.stats_hits == sum(range(size))
-    assert store.trace_misses == size
+    assert store.profile_misses == size
     # Touched keys land in point order regardless of arrival order.
     assert list(store.touched_map()) == [f"stats:key{i}" for i in range(size)]
 

@@ -142,13 +142,14 @@ class TestMetrics:
             obs.registry().counter("c").inc(-1)
 
     def test_render_report_mentions_everything(self, obs_on):
-        obs.add("memsim.store.trace_hits", 3)
+        obs.add("memsim.store.profile_hits", 3)
         with obs.span("fig5.point", n=16):
             pass
         text = obs.render_report()
         assert "trace cache" in text
+        assert "profiles:" in text and "stats:" in text
         assert "fig5.point" in text
-        assert "memsim.store.trace_hits = 3" in text
+        assert "memsim.store.profile_hits = 3" in text
 
 
 class TestStatsPublishing:
@@ -184,13 +185,12 @@ class TestStatsPublishing:
         assert snap["counters"]["memsim.store.stats_misses"] == 1
         assert snap["counters"]["memsim.store.stats_hits"] == 1
         assert snap["counters"]["memsim.simulations"] == 2
+        assert snap["counters"]["memsim.store.profile_misses"] == 1
         addrs = store.content_addresses()
-        # One stats key + one trace key (+ one profile key when the
-        # multi-config path answers the stats miss).
+        # One stats key + the profile key that answered the stats miss;
+        # traces are never stored, so never touched.
         kinds = {a.split(":", 1)[0] for a in addrs}
-        assert kinds >= {"stats", "trace"} and kinds <= {
-            "stats", "trace", "profile"
-        }
+        assert kinds == {"stats", "profile"}
         assert any(a.startswith("stats:") and a.endswith("=miss") for a in addrs)
 
 
@@ -209,7 +209,8 @@ class TestManifest:
         assert m["command"] == "test"
         assert m["k"] == "v"
         assert len(m["machine"]["sha256"]) == 64
-        assert m["trace_cache"]["trace_hits"] == 0
+        assert m["trace_cache"]["profile_hits"] == 0
+        assert "trace_hits" not in m["trace_cache"]
         path = obs.write_manifest(tmp_path / "m.json", m)
         loaded = json.loads(path.read_text())
         assert loaded["machine"]["sha256"] == m["machine"]["sha256"]

@@ -249,9 +249,9 @@ class TestGrouping:
         assert [pl["index"] for pl in payloads] == [p.index for p in batch]
         assert payloads[0]["row"] == run_point(batch[0])
         # Co-location pays: the second member answers from the warm
-        # profile without ever reloading the trace artifact.
+        # profile without rebuilding the trace.
         assert payloads[1]["store_counters"]["profile_hits"] == 1
-        assert payloads[1]["store_counters"]["trace_hits"] == 0
+        assert payloads[1]["store_counters"]["profile_misses"] == 0
 
     def test_grouped_pool_matches_serial(self, fresh_store):
         serial = run_sweep(GRIDS["fig6ms"], jobs=1)
@@ -274,7 +274,6 @@ class TestWorkerCall:
         assert payload["store_counters"]["stats_misses"] == 1
         again = par._worker_call(point)
         assert again["store_counters"] == {
-            "trace_hits": 0, "trace_misses": 0,
             "stats_hits": 1, "stats_misses": 0,
             "profile_hits": 0, "profile_misses": 0,
         }
@@ -306,21 +305,21 @@ class TestMerge:
         points = [make_point("fig9", i, "fig6sim.point") for i in range(2)]
         payloads = [
             {"index": 1, "row": {"v": 1},
-             "store_counters": {"stats_hits": 2, "trace_misses": 1},
+             "store_counters": {"stats_hits": 2, "profile_misses": 1},
              "store_touched": {"stats:aa": "hit"}},
             {"index": 0, "row": {"v": 0},
              "store_counters": {"stats_hits": 1},
-             "store_touched": {"stats:aa": "miss", "trace:bb": "miss"}},
+             "store_touched": {"stats:aa": "miss", "profile:bb": "miss"}},
         ]
         rows = merge_payloads(points, payloads)
         assert rows == [{"v": 0}, {"v": 1}]
         assert fresh_store.stats_hits == 3
-        assert fresh_store.trace_misses == 1
+        assert fresh_store.profile_misses == 1
         # First-touch wins in *point* order, not completion order: the
         # index-1 payload arrived first but merges second, so index 0's
         # verdict for the shared key sticks.
         assert fresh_store.touched_map()["stats:aa"] == "miss"
-        assert fresh_store.touched_map()["trace:bb"] == "miss"
+        assert fresh_store.touched_map()["profile:bb"] == "miss"
 
     def test_obs_merge_side_effect(self, fresh_store, obs_on):
         payload = {

@@ -18,12 +18,13 @@ What is pinned:
 * **Error surface.**  Malformed JSON, unknown figures, bad params and
   unknown job ids come back as structured 4xx JSON, never 500s.
 * **Fault tolerance.**  A worker SIGKILLed mid-sweep breaks the pool;
-  the service retries the job on a fresh pool, and a trace-store
-  artifact corrupted before the sweep is rebuilt cleanly (the same
+  the service retries the job on a fresh pool, and a reuse profile
+  corrupted in the store before the sweep is rebuilt cleanly (the same
   corrupt-artifact machinery as ``tests/test_store_concurrency.py``).
 * **Disconnect hygiene.**  A client that vanishes mid-request leaves
   no orphaned queued/running job behind.
-* **Process hygiene.**  A pool worker exits on SIGTERM, and the hard
+* **Process hygiene.**  A pool worker exits on SIGTERM and, through
+  its parent watch, soon after a SIGKILL of the server alone; the hard
   teardown kills the server's whole process group, so no worker
   outlives its server.
 """
@@ -40,7 +41,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.serve.client import ServeClient
@@ -304,29 +304,16 @@ def test_metrics_exposes_service_state(server):
 
 
 def _corrupt_fault_artifact(cache_root: Path) -> Path:
-    """Pre-corrupt the trace artifact the fault figure's points read,
+    """Pre-corrupt the reuse profile the fault figure's points read,
     exactly as tests/test_store_concurrency.py does."""
     from repro.memsim.machine import scaled
-    from repro.memsim.store import (
-        TraceStore,
-        _STORE_VERSION,
-        _expansion_fingerprint,
-        _multiply_fields,
-    )
+    from repro.memsim.store import TraceStore, _multiply_fields, _profile_key
 
     store = TraceStore(root=cache_root, enabled=True)
-    key = store.key_of(
-        {
-            "kind": "trace",
-            "v": _STORE_VERSION,
-            "fields": _multiply_fields("standard", "LZ", 16, 8,
-                                       "accumulate", None),
-            "expand": _expansion_fingerprint(scaled(8)),
-        }
-    )
-    path = store._path(key, ".npy")
+    fields = _multiply_fields("standard", "LZ", 16, 8, "accumulate", None)
+    path = store._path(_profile_key(fields, scaled(8)), ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"\x93NUMPY garbage that will not np.load")
+    path.write_bytes(b"PK\x03\x04 garbage that will not load as a profile")
     return path
 
 
@@ -337,10 +324,11 @@ def test_sigkilled_worker_is_retried_and_store_survives(tmp_path):
     The ``fault`` figure (enabled by REPRO_SERVE_TEST_HOOKS) plants a
     point that SIGKILLs its own worker process on first execution —
     indistinguishable from an OOM kill — while its sibling points read
-    the shared trace store through an artifact this test corrupted
-    up front.
+    the shared trace store through a profile this test corrupted up
+    front.
     """
     from repro.memsim.machine import scaled
+    from repro.memsim.multiconfig import ReuseProfile
     from repro.memsim.store import TraceStore, cached_multiply_stats
 
     srv = ServerUnderTest(tmp_path, extra_env={"REPRO_SERVE_TEST_HOOKS": "1"})
@@ -372,9 +360,10 @@ def test_sigkilled_worker_is_retried_and_store_survives(tmp_path):
         for row in payload["rows"]:
             assert row["cycles"] == expected.cycles
 
-        # The corrupted artifact was rebuilt into a loadable array.
-        arr = np.load(artifact)
-        assert arr.size > 0
+        # The corrupted profile was rebuilt into one that loads.
+        with open(artifact, "rb") as fh:
+            profile = ReuseProfile.load(fh)
+        assert profile.accesses == expected.accesses
 
         # The service is still healthy and serves real figures.
         rows = srv.client.rows("fig6sim", GOLDEN_PARAMS, jobs=2)
@@ -508,3 +497,21 @@ def test_pool_workers_stop_on_sigterm_and_teardown(tmp_path):
     finally:
         srv.kill()
     assert not _survivors(workers, timeout=10.0)
+
+
+def test_pool_workers_exit_when_server_is_sigkilled(tmp_path):
+    """SIGKILL of the server alone runs no handler and leaves its pool
+    workers reparented; each worker's parent watch must still end it
+    within seconds, with no process-group kill."""
+    srv = ServerUnderTest(tmp_path)
+    try:
+        srv.client.rows("fig6sim", GOLDEN_PARAMS, jobs=2)
+        workers = _children(srv.proc.pid)
+        assert workers, "a jobs=2 sweep started no pool worker"
+        os.kill(srv.proc.pid, signal.SIGKILL)
+        srv.proc.wait(timeout=10)
+        assert not _survivors(workers, timeout=10.0), (
+            "pool workers outlived their SIGKILLed server"
+        )
+    finally:
+        srv.kill()

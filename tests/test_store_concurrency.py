@@ -2,7 +2,10 @@
 
 Sweep workers share one content-addressed :class:`TraceStore` root on
 disk with no locking — correctness rests entirely on the atomic
-tmp-then-``os.replace`` publish.  These tests attack that design:
+tmp-then-``os.replace`` publish.  The artifact under attack is a
+trace's reuse profile (``.npz``), read and written through
+:meth:`TraceStore.profile`; each profile miss builds the trace once,
+which is what the build log counts.  These tests attack that design:
 
 * **cold race** — N processes released by a barrier all miss the same
   key at once.  Every process must read back the identical artifact,
@@ -32,7 +35,9 @@ import signal
 import numpy as np
 import pytest
 
+from repro.memsim import store as store_mod
 from repro.memsim.machine import scaled
+from repro.memsim.multiconfig import ReuseProfile, build_profile
 from repro.memsim.store import TraceStore
 
 MACH = scaled(4)
@@ -48,25 +53,46 @@ def _expected_array() -> np.ndarray:
     return (np.arange(4096, dtype=np.int64) * 64) % 8192
 
 
+def _digest(prof: ReuseProfile) -> list:
+    """The profile's content as plain JSON-able lists."""
+    return [
+        prof.accesses,
+        prof.l1_hist.tolist(),
+        prof.tlb_hist.tolist(),
+        {str(a): h.tolist() for a, h in sorted(prof.l2.items())},
+    ]
+
+
+def _expected_digest() -> list:
+    return _digest(build_profile(_expected_array(), MACH))
+
+
+def _load(path) -> ReuseProfile:
+    with open(path, "rb") as fh:
+        return ReuseProfile.load(fh)
+
+
 def _worker(root, build_log, barrier, out_dir):
-    """One racing process: open the shared store, get-or-build the key,
-    report counters and a content checksum to the parent via JSON."""
+    """One racing process: open the shared store, get-or-build the
+    profile, report counters and a content digest to the parent via
+    JSON."""
     store = TraceStore(root=root, enabled=True)
 
     def build():
-        # Log every recompute so the parent can bound duplicate work.
+        # Log every trace build (one per profile miss) so the parent can
+        # bound duplicate work.
         with open(os.path.join(build_log, f"build-{os.getpid()}"), "w") as fh:
             fh.write(str(os.getpid()))
         return _expected_array()
 
     barrier.wait()
-    arr = store.trace(FIELDS, MACH, build)
+    prof = store.profile(FIELDS, MACH, build)
     result = {
         "pid": os.getpid(),
         "counters": store.counters(),
-        "shape": list(arr.shape),
-        "checksum": int(arr.sum()),
-        "equal": bool(np.array_equal(arr, _expected_array())),
+        "accesses": prof.accesses,
+        "digest": _digest(prof),
+        "equal": _digest(prof) == _expected_digest(),
     }
     path = os.path.join(out_dir, f"result-{os.getpid()}.json")
     with open(path, "w") as fh:
@@ -99,18 +125,8 @@ def _run_workers(n, root, tmp_path):
     return results, builds
 
 
-def _trace_path(store: TraceStore) -> "os.PathLike":
-    from repro.memsim.store import _STORE_VERSION, _expansion_fingerprint
-
-    key = store.key_of(
-        {
-            "kind": "trace",
-            "v": _STORE_VERSION,
-            "fields": FIELDS,
-            "expand": _expansion_fingerprint(MACH),
-        }
-    )
-    return store._path(key, ".npy")
+def _profile_path(store: TraceStore) -> "os.PathLike":
+    return store._path(store_mod._profile_key(FIELDS, MACH), ".npz")
 
 
 N = 4
@@ -122,40 +138,40 @@ class TestColdRace:
         results, builds = _run_workers(N, root, tmp_path)
         # No torn reads: every process saw the full, correct artifact.
         assert all(r["equal"] for r in results)
-        assert len({r["checksum"] for r in results}) == 1
+        assert len({json.dumps(r["digest"]) for r in results}) == 1
         # Bounded duplicate work: between 1 (best case — one winner,
         # everyone else hits) and N (worst case — all race through the
         # miss window before any publish lands).
-        misses = sum(r["counters"]["trace_misses"] for r in results)
+        misses = sum(r["counters"]["profile_misses"] for r in results)
         assert misses == builds
         assert 1 <= builds <= N
         # The published artifact is valid and byte-stable afterwards.
         store = TraceStore(root=root, enabled=True)
-        arr = store.trace(FIELDS, MACH, lambda: pytest.fail("unexpected rebuild"))
-        assert np.array_equal(arr, _expected_array())
-        assert store.counters()["trace_hits"] == 1
+        prof = store.profile(FIELDS, MACH, lambda: pytest.fail("unexpected rebuild"))
+        assert _digest(prof) == _expected_digest()
+        assert store.counters()["profile_hits"] == 1
 
 
 class TestWarmStorm:
     def test_concurrent_warm_gets_never_recompute(self, tmp_path):
         root = tmp_path / "store"
-        TraceStore(root=root, enabled=True).trace(FIELDS, MACH, _expected_array)
+        TraceStore(root=root, enabled=True).profile(FIELDS, MACH, _expected_array)
         results, builds = _run_workers(N, root, tmp_path)
         assert builds == 0
-        assert all(r["counters"]["trace_misses"] == 0 for r in results)
-        assert all(r["counters"]["trace_hits"] == 1 for r in results)
+        assert all(r["counters"]["profile_misses"] == 0 for r in results)
+        assert all(r["counters"]["profile_hits"] == 1 for r in results)
         assert all(r["equal"] for r in results)
 
 
 def _crash_mid_write(root):
-    """Write the first half of a real ``.npy`` artifact to the store's
+    """Write the first half of a real ``.npz`` artifact to the store's
     actual tmp path, flush it to disk, then die without cleanup —
     exactly what a worker killed mid-publish leaves behind."""
     store = TraceStore(root=root, enabled=True)
-    final = _trace_path(store)
+    final = _profile_path(store)
     final.parent.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
-    np.save(buf, _expected_array())
+    build_profile(_expected_array(), MACH).save(buf)
     blob = buf.getvalue()
     tmp = final.with_name(f".tmp.{os.getpid()}.{final.name}")
     with open(tmp, "wb") as fh:
@@ -174,7 +190,7 @@ class TestMidWriteCrash:
         victim.join(timeout=60)
         assert victim.exitcode == -signal.SIGKILL
         store = TraceStore(root=root, enabled=True)
-        final = _trace_path(store)
+        final = _profile_path(store)
         # The torn write stayed on the tmp path: nothing was published.
         assert not final.exists()
         debris = list(final.parent.glob(".tmp.*"))
@@ -185,18 +201,17 @@ class TestMidWriteCrash:
         assert 1 <= builds <= N
         # ...and the store ends valid: published artifact loads, and the
         # debris is inert (ignored by lookup, never loaded).
-        arr = np.load(final)
-        assert np.array_equal(arr, _expected_array())
+        assert _digest(_load(final)) == _expected_digest()
 
 
 class TestCorruptArtifact:
     def test_concurrent_reads_of_corrupt_file_rebuild(self, tmp_path):
         root = tmp_path / "store"
         store = TraceStore(root=root, enabled=True)
-        final = _trace_path(store)
+        final = _profile_path(store)
         final.parent.mkdir(parents=True, exist_ok=True)
-        final.write_bytes(b"\x93NUMPY corrupted beyond repair")
+        final.write_bytes(b"PK\x03\x04 corrupted beyond repair")
         results, builds = _run_workers(N, root, tmp_path)
         assert all(r["equal"] for r in results)
         assert 1 <= builds <= N
-        assert np.array_equal(np.load(final), _expected_array())
+        assert _digest(_load(final)) == _expected_digest()

@@ -22,7 +22,6 @@ from repro.memsim import store as store_mod
 from repro.memsim import synthesis
 from repro.memsim.coherence import assign_by_output, false_sharing_stats
 from repro.memsim.machine import scaled, ultrasparc_like
-from repro.memsim.store import TraceStore, cached_multiply_trace
 from repro.memsim.synthesis import (
     EventTable,
     SynthesisContext,
@@ -252,14 +251,15 @@ class TestUnsupportedFallback:
         def refuse(*args, **kwargs):
             raise UnsupportedSynthesis("synthesis refused by the test")
 
+        def build():
+            return store_mod._multiply_builder(
+                "strassen", "LH", 24, 8, MACH, "accumulate", None
+            )()
+
         monkeypatch.setattr(store_mod, "trace_multiply", counted)
-        on = cached_multiply_trace(
-            "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
-        )
+        on = build()
         assert not calls
         monkeypatch.setattr(store_mod, "synthesize_multiply", refuse)
-        off = cached_multiply_trace(
-            "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
-        )
+        off = build()
         assert len(calls) == 1
         assert np.array_equal(on, off)
