@@ -158,7 +158,7 @@ def main(argv=None) -> None:
 
     # Warm: one stats call fills the content-addressed store, then a
     # fresh handle on the same root answers the trace's profile from
-    # its .npz, the read a warm sweep pays instead of a rebuild.  The
+    # its .npz, the read a warm sweep pays before each query.  The
     # counters make cache behaviour visible (a keying regression that
     # silently rebuilds everything shows up as misses on a warm store).
     store = default_store()
@@ -171,8 +171,8 @@ def main(argv=None) -> None:
     fresh.profile(fields, mach, refuse_build)
     warm_seconds = time.perf_counter() - t0
     assert fresh.counters()["profile_hits"] == 1, (
-        f"warm profile read missed the store at {store.root} "
-        f"(REPRO_TRACE_CACHE must be on): {fresh.counters()}"
+        f"warm profile read missed the store at {store.root}: "
+        f"{fresh.counters()}"
     )
     if addresses.size < TARGET:
         addresses = np.tile(addresses, -(-TARGET // addresses.size))
@@ -190,9 +190,7 @@ def main(argv=None) -> None:
             "warm_expand_seconds": round(warm_seconds, 4),
         },
         "trace_cache": {
-            "enabled": store.enabled,
-            # No profile built: the store already held the trace's
-            # stats (which never reach the profile) or its profile.
+            # No profile built: the store already held the trace's profile.
             "first_call_was_hit": cold_counters["profile_misses"] == 0,
             **store.counters(),
         },
@@ -200,8 +198,8 @@ def main(argv=None) -> None:
     }
     c = store.counters()
     print(
-        f"trace cache ({'on' if store.enabled else 'off'}): profiles "
-        f"{c['profile_hits']} hit / {c['profile_misses']} miss; "
+        f"trace cache: profiles {c['profile_hits']} hit / "
+        f"{c['profile_misses']} miss; "
         f"cold expand {expand_seconds:.3f}s, warm profile read "
         f"{warm_seconds:.4f}s"
     )

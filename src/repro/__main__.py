@@ -312,13 +312,9 @@ def _cmd_report(args) -> None:
 def _cmd_serve(args) -> None:
     from repro.serve.server import run_server
 
-    host = args.host if args.host is not None else knobs.path("REPRO_SERVE_HOST")
-    port = args.port if args.port is not None else (
-        knobs.integer("REPRO_SERVE_PORT") or 0
-    )
     run_server(
-        host,
-        port,
+        args.host,
+        args.port,
         pool_jobs=args.jobs,
         append_history=args.append_history,
     )
@@ -463,11 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-lived simulation service (batch sweep API, shared "
              "warm trace store)",
     )
-    s.add_argument("--host", default=None,
-                   help="bind address (default: REPRO_SERVE_HOST)")
-    s.add_argument("--port", type=int, default=None,
-                   help="TCP port; 0 binds an ephemeral port "
-                        "(default: REPRO_SERVE_PORT)")
+    s.add_argument("--host", default="127.0.0.1",
+                   help="bind address (default: 127.0.0.1)")
+    s.add_argument("--port", type=int, default=0,
+                   help="TCP port; 0 (the default) binds an ephemeral "
+                        "port, printed on the readiness line")
     s.add_argument("--jobs", "-j", type=int, default=None,
                    help="worker-pool width (default: REPRO_JOBS, "
                         "else cpu count)")

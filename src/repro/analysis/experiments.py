@@ -248,9 +248,7 @@ def fig6_machine_scaling(
     on the full associativity/TLB grid of
     :func:`~repro.memsim.machine.assoc_scaled` — the canonical consumer
     of the multi-config reuse-distance profile: per trace, one profile
-    build answers the entire machine grid by histogram suffix-sums
-    (with ``REPRO_TRACE_CACHE=0`` each config builds its own profile at
-    its own caps instead; rows are byte-identical either way).
+    build answers the entire machine grid by histogram suffix-sums.
     """
     points = fig6ms_points(
         n=n, tile=tile, algorithms=algorithms, layouts=layouts,

@@ -125,13 +125,6 @@ declare(
     "output is byte-identical across runs and worker counts.",
 )
 declare(
-    "REPRO_TRACE_CACHE",
-    "flag",
-    True,
-    "Use the content-addressed on-disk profile/stats cache; set to 0 to "
-    "recompute everything and touch no cache files.",
-)
-declare(
     "REPRO_TRACE_CACHE_DIR",
     "path",
     None,
@@ -152,20 +145,6 @@ declare(
     None,
     "Root of the append-only benchmark history store; default: "
     "<repo>/.benchmarks/history.",
-)
-declare(
-    "REPRO_SERVE_HOST",
-    "str",
-    "127.0.0.1",
-    "Bind address of the long-lived simulation service "
-    "(`python -m repro serve`).",
-)
-declare(
-    "REPRO_SERVE_PORT",
-    "int",
-    0,
-    "TCP port of the simulation service; 0 (the default) binds an "
-    "ephemeral port, printed on the readiness line.",
 )
 declare(
     "REPRO_SERVE_MAX_RETRIES",

@@ -132,22 +132,21 @@ class ReuseProfile:
         n = self.accesses
         if n == 0:
             return MemoryStats(0, 0, 0, 0, 0.0)
-        with obs.span("multiconfig.query", machine=machine.name):
-            l1_misses = int(self.l1_hist[machine.l1.assoc :].sum())
-            l2_hist = self.l2[machine.l1.assoc]
-            l2_misses = int(l2_hist[machine.l2.assoc :].sum())
-            tlb_misses = (
-                int(self.tlb_hist[machine.tlb_entries :].sum())
-                if include_tlb and machine.tlb_entries > 0
-                else 0
-            )
-            cycles = (
-                n * machine.l1_hit
-                + l1_misses * machine.l2_hit
-                + l2_misses * machine.mem
-                + tlb_misses * machine.tlb_miss
-            )
-            return MemoryStats(n, l1_misses, l2_misses, tlb_misses, cycles)
+        l1_misses = int(self.l1_hist[machine.l1.assoc :].sum())
+        l2_hist = self.l2[machine.l1.assoc]
+        l2_misses = int(l2_hist[machine.l2.assoc :].sum())
+        tlb_misses = (
+            int(self.tlb_hist[machine.tlb_entries :].sum())
+            if include_tlb and machine.tlb_entries > 0
+            else 0
+        )
+        cycles = (
+            n * machine.l1_hit
+            + l1_misses * machine.l2_hit
+            + l2_misses * machine.mem
+            + tlb_misses * machine.tlb_miss
+        )
+        return MemoryStats(n, l1_misses, l2_misses, tlb_misses, cycles)
 
     # -- persistence (npz in the trace store) ---------------------------
 

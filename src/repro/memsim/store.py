@@ -1,22 +1,16 @@
-"""Content-addressed on-disk cache of reuse profiles and simulation results.
+"""Content-addressed on-disk cache of reuse profiles.
 
 Pricing a multiply on a simulated hierarchy is a deterministic function
 of a small parameter tuple — (algorithm, layout, n, tile, mode, depth)
 plus the machine geometry.  Sweeps like Figure 4/5 re-price the same
-traces run after run; this module memoizes two artifacts on disk so a
-warm re-run skips straight to the cached
-:class:`~repro.memsim.hierarchy.MemoryStats`:
-
-* **profiles** — the trace's
-  :class:`~repro.memsim.multiconfig.ReuseProfile`, stored as ``.npz``.
-  Keyed by the trace parameters, the machine fields that affect
-  expansion (L1 line size, page size, item size) and the machine's
-  config family, so one profile prices every machine model of the
-  family within its caps.
-* **stats** — the simulated :class:`MemoryStats`, stored as JSON.
-  Keyed by the trace parameters plus the *full* machine model
-  (capacities, associativities, cycle costs) and the ``include_tlb``
-  flag.
+traces run after run; this module memoizes one artifact per trace on
+disk, its :class:`~repro.memsim.multiconfig.ReuseProfile`, stored as
+``.npz``.  A profile is keyed by the trace parameters, the machine
+fields that affect expansion (L1 line size, page size, item size) and
+the machine's config family, so it prices every machine model of the
+family within its caps.  Every price (:meth:`TraceStore.stats`) is a
+query of that profile: a few histogram suffix sums, cheap enough that
+no priced result is stored.
 
 The expanded address trace itself is never persisted: a profile miss
 rebuilds it (:meth:`TraceStore.trace`), profiles it and drops it.
@@ -26,20 +20,16 @@ version; bumping :data:`_STORE_VERSION` invalidates everything at once
 (e.g. if the expansion model changes).  Writes are atomic
 (tmp + ``os.replace``) so concurrent sweep processes can share a store.
 
-Set ``REPRO_TRACE_CACHE=0`` to disable caching entirely (every call
-recomputes, nothing is read or written); ``REPRO_TRACE_CACHE_DIR``
-relocates the store (default ``.benchmarks/tracecache/`` at the repo
-root).  Hit/miss counters on the store make cache behaviour observable
-in tests and benchmark summaries.
+``REPRO_TRACE_CACHE_DIR`` relocates the store (default
+``.benchmarks/tracecache/`` at the repo root); an empty directory means
+a cold store.  Hit/miss counters on the store make cache behaviour
+observable in tests and benchmark summaries.
 
-Every trace is built by the symbolic synthesizer
+Every multiply trace is built by the symbolic synthesizer
 (:func:`~repro.memsim.synthesis.synthesize_multiply` +
-:func:`~repro.memsim.synthesis.expand_table`); a multiply whose
-algorithm has no synthesis spec falls back to the executed tracer
-(:func:`~repro.memsim.trace.trace_multiply` +
-:func:`~repro.memsim.trace.expand_trace`).  The four are looked up by
-these names in this module at call time, so a test can swap one out and
-force every trace through the other path.
+:func:`~repro.memsim.synthesis.expand_table`), looked up by these names
+in this module at call time.  The executed tracer stays in
+:mod:`repro.memsim.trace` as the tests' reference.
 """
 
 from __future__ import annotations
@@ -54,21 +44,21 @@ from pathlib import Path
 import numpy as np
 
 from repro import knobs, obs
-from repro.memsim.hierarchy import MemoryStats, simulate_hierarchy
+from repro.memsim.hierarchy import MemoryStats
 from repro.memsim.machine import MachineModel
 from repro.memsim.multiconfig import ConfigFamily, ReuseProfile, build_profile
-from repro.memsim.synthesis import (
-    EventTable,
-    UnsupportedSynthesis,
-    expand_table,
-    synthesize_multiply,
-)
+from repro.memsim.synthesis import EventTable, expand_table, synthesize_multiply
 from repro.memsim.synthetic import (
     blocked_canonical_events,
     dense_standard_events,
     dense_strassen_events,
 )
-from repro.memsim.trace import expand_trace, trace_multiply
+
+# Not called here, but bound by name: the end-to-end benchmark's
+# ``--trace 1`` mode (benchmarks/e2e/tracing.py) wraps each of these in
+# this module, and that table changes only with the benchmark.
+from repro.memsim.hierarchy import simulate_hierarchy  # noqa: F401
+from repro.memsim.trace import expand_trace, trace_multiply  # noqa: F401
 
 __all__ = [
     "TraceStore",
@@ -81,6 +71,10 @@ __all__ = [
 # Bump to invalidate every cached artifact (key prefix).
 _STORE_VERSION = 1
 
+# How many warm profiles one store keeps in memory (least recently used
+# evicted first); a sweep touches a handful of trace/family pairs.
+_MEMO_PROFILES = 64
+
 # What loading an empty, truncated or foreign artifact raises; every one
 # of them is a cache miss and the artifact is rebuilt.
 _DAMAGED = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
@@ -89,10 +83,6 @@ _DAMAGED = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 def _repo_root() -> Path:
     # src/repro/memsim/store.py -> repo root is three levels above src/.
     return Path(__file__).resolve().parents[3]
-
-
-def _machine_fingerprint(machine: MachineModel) -> dict:
-    return dataclasses.asdict(machine)
 
 
 def _expansion_fingerprint(machine: MachineModel) -> dict:
@@ -119,23 +109,18 @@ def _profile_key(fields: dict, machine: MachineModel) -> str:
 
 
 class TraceStore:
-    """Content-addressed profile/stats cache rooted at one directory."""
+    """Content-addressed reuse-profile cache rooted at one directory."""
 
-    def __init__(self, root: str | Path | None = None, enabled: bool | None = None):
-        if enabled is None:
-            enabled = knobs.flag("REPRO_TRACE_CACHE")
+    def __init__(self, root: str | Path | None = None):
         if root is None:
             root = knobs.path("REPRO_TRACE_CACHE_DIR") or (
                 _repo_root() / ".benchmarks" / "tracecache"
             )
         self.root = Path(root)
-        self.enabled = bool(enabled)
-        self.stats_hits = 0
-        self.stats_misses = 0
         self.profile_hits = 0
         self.profile_misses = 0
-        # Warm reuse-distance profiles by content key (bounded; a sweep
-        # touches a handful of trace/family pairs, not thousands).
+        # Warm reuse-distance profiles by content key, least recently
+        # used first, at most _MEMO_PROFILES of them.
         self._profiles: dict[str, ReuseProfile] = {}
         # Content addresses this store touched, in first-touch order:
         # key -> "hit" | "miss".  Run manifests embed these so any output
@@ -147,15 +132,12 @@ class TraceStore:
     def counters(self) -> dict[str, int]:
         """Current hit/miss counters (for reporting and tests)."""
         return {
-            "stats_hits": self.stats_hits,
-            "stats_misses": self.stats_misses,
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
         }
 
     def reset_counters(self) -> None:
         """Zero all hit/miss counters and the touched-key record."""
-        self.stats_hits = self.stats_misses = 0
         self.profile_hits = self.profile_misses = 0
         self._touched.clear()
 
@@ -176,8 +158,6 @@ class TraceStore:
         Metrics are *not* re-published — the workers already published
         theirs, and the obs merge carries those over separately.
         """
-        self.stats_hits += int(counters.get("stats_hits", 0))
-        self.stats_misses += int(counters.get("stats_misses", 0))
         self.profile_hits += int(counters.get("profile_hits", 0))
         self.profile_misses += int(counters.get("profile_misses", 0))
         for key, verdict in (touched or {}).items():
@@ -187,9 +167,13 @@ class TraceStore:
         """Touched cache keys (first-touch order) as ``kind:key=hit|miss``."""
         return [f"{key}={verdict}" for key, verdict in self._touched.items()]
 
-    def _touch(self, kind: str, key: str, hit: bool) -> None:
-        self._touched.setdefault(f"{kind}:{key}", "hit" if hit else "miss")
-        obs.add(f"memsim.store.{kind}_{'hits' if hit else 'misses'}")
+    def _touch(self, key: str, hit: bool) -> None:
+        if hit:
+            self.profile_hits += 1
+        else:
+            self.profile_misses += 1
+        self._touched.setdefault(f"profile:{key}", "hit" if hit else "miss")
+        obs.add(f"memsim.store.profile_{'hits' if hit else 'misses'}")
 
     # -- keys and paths ------------------------------------------------
 
@@ -199,8 +183,8 @@ class TraceStore:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def _path(self, key: str, suffix: str) -> Path:
-        return self.root / key[:2] / (key + suffix)
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / (key + ".npz")
 
     def _write_atomic(self, path: Path, write) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -240,22 +224,17 @@ class TraceStore:
         """
         key = _profile_key(fields, machine)
         prof = self._profiles.get(key)
-        if prof is None:
-            path = self._path(key, ".npz")
-            if path.exists():
-                try:
-                    with open(path, "rb") as fh:
-                        prof = ReuseProfile.load(fh)
-                except _DAMAGED:
-                    prof = None  # corrupt/partial file: rebuild below
+        if prof is None and self._path(key).exists():
+            try:
+                with open(self._path(key), "rb") as fh:
+                    prof = ReuseProfile.load(fh)
+            except _DAMAGED:
+                prof = None  # corrupt/partial file: rebuild below
         if prof is not None and prof.supports(machine):
-            self.profile_hits += 1
-            self._touch("profile", key, hit=True)
-            obs.add("multiconfig.profile_hits")
+            self._touch(key, hit=True)
             self._remember_profile(key, prof)
             return prof
-        self.profile_misses += 1
-        self._touch("profile", key, hit=False)
+        self._touch(key, hit=False)
         addrs = self.trace(fields, build_trace)
         extra = tuple(prof.l2) if prof is not None else ()
         prof = build_profile(addrs, machine, extra_assocs=extra)
@@ -264,13 +243,14 @@ class TraceStore:
             with open(tmp, "wb") as fh:
                 prof.save(fh)
 
-        self._write_atomic(self._path(key, ".npz"), _save)
+        self._write_atomic(self._path(key), _save)
         self._remember_profile(key, prof)
         return prof
 
     def _remember_profile(self, key: str, prof: ReuseProfile) -> None:
+        self._profiles.pop(key, None)  # re-insert a hit as most recent
         self._profiles[key] = prof
-        while len(self._profiles) > 64:
+        while len(self._profiles) > _MEMO_PROFILES:
             self._profiles.pop(next(iter(self._profiles)))
 
     def stats(
@@ -280,50 +260,17 @@ class TraceStore:
         include_tlb: bool,
         build_trace,
     ) -> MemoryStats:
-        """Simulated :class:`MemoryStats` for ``fields``, memoized on disk.
+        """Simulated :class:`MemoryStats` for ``fields`` on ``machine``.
 
-        On a stats hit neither the trace expansion nor the simulation
-        runs.  On a stats miss the stats are answered from the shared
-        reuse-distance profile (:meth:`profile`), so a second machine
-        model in the same config family costs only a histogram suffix
-        sum.  A disabled store prices the trace with
-        :func:`simulate_hierarchy` (the profile at the machine's own
-        caps); both produce bit-identical :class:`MemoryStats`
-        (property-tested against the :class:`LRUCache` oracle).
+        Every price is a query of the trace's reuse profile
+        (:meth:`profile`): a few histogram suffix sums, bit-identical to
+        :func:`~repro.memsim.hierarchy.simulate_hierarchy` on the
+        expanded trace (property-tested against the :class:`LRUCache`
+        oracle).  So a second machine model in the same config family,
+        or a warm re-run, costs only the query; the result is not stored.
         """
-        if not self.enabled:
-            addrs = self.trace(fields, build_trace)
-            st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
-            st.publish()
-            return st
-        key = self.key_of(
-            {
-                "kind": "stats",
-                "v": _STORE_VERSION,
-                "fields": fields,
-                "machine": _machine_fingerprint(machine),
-                "include_tlb": bool(include_tlb),
-            }
-        )
-        path = self._path(key, ".json")
-        if path.exists():
-            try:
-                payload = json.loads(path.read_text())
-                st = MemoryStats(**payload)
-            except (OSError, ValueError, TypeError):
-                pass
-            else:
-                self.stats_hits += 1
-                self._touch("stats", key, hit=True)
-                st.publish()
-                return st
-        self.stats_misses += 1
-        self._touch("stats", key, hit=False)
         prof = self.profile(fields, machine, build_trace)
-        with obs.span("store.stats.simulate", key=key[:16], **fields):
-            st = prof.query(machine, include_tlb=include_tlb)
-        blob = json.dumps(dataclasses.asdict(st))
-        self._write_atomic(path, lambda tmp: tmp.write_text(blob))
+        st = prof.query(machine, include_tlb=include_tlb)
         st.publish()
         return st
 
@@ -361,19 +308,13 @@ def _multiply_fields(algorithm, layout, n, tile, mode, depth) -> dict:
 
 
 def _multiply_builder(algorithm, layout, n, tile, machine, mode, depth):
-    # Symbolic synthesis and the executed tracer produce byte-identical
-    # streams (property-tested), so the source does not enter the cache
-    # key: either path may fill a slot the other reads.
+    # The trace source does not enter the cache key: the executed tracer
+    # produces byte-identical streams (property-tested), and the tests
+    # swap this builder for it.
     def build():
-        try:
-            table, sizes = synthesize_multiply(
-                algorithm, layout, n, tile, mode=mode, depth=depth
-            )
-        except UnsupportedSynthesis:
-            events, sizes = trace_multiply(
-                algorithm, layout, n, tile, mode=mode, depth=depth
-            )
-            return expand_trace(events, machine, sizes)
+        table, sizes = synthesize_multiply(
+            algorithm, layout, n, tile, mode=mode, depth=depth
+        )
         return expand_table(table, machine, sizes)
 
     return build

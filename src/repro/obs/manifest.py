@@ -141,7 +141,6 @@ def build_manifest(
         touched = store.content_addresses()
         manifest["trace_cache"] = {
             "root": str(store.root),
-            "enabled": store.enabled,
             **store.counters(),
             "touched_total": len(touched),
             "content_addresses": touched[:_MAX_CONTENT_ADDRESSES],

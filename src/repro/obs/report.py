@@ -126,11 +126,10 @@ def render_report(store=None) -> str:
 
     c = store.counters()
     lines += _section("trace cache")
-    lines.append(f"root: {store.root}  (enabled={store.enabled})")
-    for kind, label in (("profile", "profiles:"), ("stats", "stats:   ")):
-        hits, misses = c[f"{kind}_hits"], c[f"{kind}_misses"]
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        lines.append(f"{label} {hits} hit / {misses} miss (hit rate {rate:.0%})")
+    lines.append(f"root: {store.root}")
+    hits, misses = c["profile_hits"], c["profile_misses"]
+    rate = hits / (hits + misses) if hits + misses else 0.0
+    lines.append(f"profiles: {hits} hit / {misses} miss (hit rate {rate:.0%})")
 
     counts = core.collector().counts()
     totals = core.collector().totals()

@@ -26,8 +26,9 @@ Fault tolerance: if a worker dies mid-sweep (OOM kill, segfault) the
 pool raises :class:`~concurrent.futures.process.BrokenProcessPool`.
 The manager discards the broken pool, builds a fresh one, and re-runs
 the whole sweep — points are pure functions of their parameters, so a
-re-run is safe, and the content-addressed store turns completed work
-into cache hits.  ``REPRO_SERVE_MAX_RETRIES`` bounds the loop.
+re-run is safe, and the content-addressed store turns the traces it
+already profiled into profile hits.  ``REPRO_SERVE_MAX_RETRIES`` bounds
+the loop.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Any, Callable, Optional
 
 from repro import knobs, obs
 from repro.analysis import parallel
-from repro.memsim.store import default_store
 from repro.serve.protocol import SweepRequest, build_sweep
 
 __all__ = ["Job", "JobManager"]
@@ -230,11 +230,6 @@ class JobManager:
         job.status = "running"
         points, merge = build_sweep(job.request)
         retries = max(0, knobs.integer("REPRO_SERVE_MAX_RETRIES") or 0)
-        # Warm reuse-distance profiles shared across coalesced jobs: the
-        # dispatcher is the store's single writer, so the counter delta
-        # across the sweep is exactly this job's profile reuse (worker
-        # counters fold in through the payload merge).
-        hits_before = default_store().counters().get("profile_hits", 0)
         with obs.span(
             "serve.job", fig=job.request.figure, points=len(points),
             jobs=job.request.jobs,
@@ -272,9 +267,6 @@ class JobManager:
                 job.status = "done"
                 obs.add("serve.jobs.executed")
                 obs.add("serve.sweep.rows", len(job.rows))
-                hits = default_store().counters().get("profile_hits", 0)
-                if hits > hits_before:
-                    obs.add("serve.profile_hits", hits - hits_before)
                 return
 
     # -- shutdown ------------------------------------------------------

@@ -27,8 +27,9 @@ from repro.analysis.experiments import (
     fig6_simulated,
 )
 from repro.matrix.tile import TileRange
+from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import scaled
-from repro.memsim.synthesis import UnsupportedSynthesis
+from repro.memsim.trace import expand_trace, trace_multiply
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -100,53 +101,55 @@ def test_golden_parallel(name, jobs, request):
 
 
 #: The memsim-backed figures: every multiply trace they simulate comes
-#: from the symbolic synthesizer, or from the executed tracer when the
-#: synthesizer is made to refuse.
+#: from the symbolic synthesizer, or from the executed tracer when a
+#: test swaps it in.
 SIM_CASES = ("fig4", "fig5", "fig6sim", "fig6ms")
 
 
-def _refuse(*args, **kwargs):
-    raise UnsupportedSynthesis("synthesis refused by the test")
+@pytest.fixture
+def empty_store(tmp_path, monkeypatch):
+    """Route the default store at an empty root; forked pool workers
+    inherit the environment, so they share it."""
+    from repro.memsim import store as store_mod
 
-
-def _forbid(*args, **kwargs):
-    raise AssertionError("the executed tracer ran on the synthesis path")
+    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "store"))
+    monkeypatch.setattr(store_mod, "_DEFAULT", None)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("synthesis", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
-def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
+def test_golden_synthesis_toggle(
+    name, synthesis, jobs, monkeypatch, request, empty_store
+):
     """Goldens hold byte-identical from either trace source, serially
     and under a 2-worker pool.
 
-    ``synthesis="1"`` forbids the executed tracer, so every multiply
-    trace is synthesized; ``"0"`` makes the synthesizer refuse, so the
-    store's :class:`UnsupportedSynthesis` fallback builds every one with
-    ``trace_multiply`` + ``expand_trace`` (the executed-tracer oracle).
-    Forked pool workers inherit the patch.  The trace cache is disabled
-    so each case computes its traces instead of reading stored bytes,
-    and the serial oracle case counts tracer calls so it cannot pass
-    vacuously.
+    ``synthesis="1"`` runs the store's own builder (symbolic synthesis);
+    ``"0"`` swaps it for the executed-tracer oracle (``trace_multiply``
+    + ``expand_trace``), which forked pool workers inherit.  Every case
+    starts from an empty store, so it builds each trace instead of
+    reading a stored profile, and the serial oracle case counts tracer
+    calls so it cannot pass vacuously.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
     from repro.memsim import store as store_mod
 
     calls = []
-    if synthesis == "1":
-        monkeypatch.setattr(store_mod, "trace_multiply", _forbid)
-    else:
-        tracer = store_mod.trace_multiply
+    if synthesis == "0":
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return tracer(*args, **kwargs)
+        def executed(algorithm, layout, n, tile, machine, mode, depth):
+            def build():
+                calls.append(algorithm)
+                events, sizes = trace_multiply(
+                    algorithm, layout, n, tile, mode=mode, depth=depth
+                )
+                return expand_trace(events, machine, sizes)
 
-        monkeypatch.setattr(store_mod, "synthesize_multiply", _refuse)
-        monkeypatch.setattr(store_mod, "trace_multiply", counted)
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    monkeypatch.setattr(store_mod, "_DEFAULT", None)
+            return build
+
+        monkeypatch.setattr(store_mod, "_multiply_builder", executed)
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"
     assert path.read_bytes() == _serialize(CASES[name](jobs))
@@ -154,28 +157,49 @@ def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
         assert calls, "no multiply trace came from the executed tracer"
 
 
+def _no_trace(self, fields, build):
+    raise AssertionError(f"the warm store rebuilt the trace of {fields}")
+
+
+def _simulate(self, fields, machine, include_tlb, build_trace):
+    # The pricing oracle: the freshly built trace on simulate_hierarchy,
+    # capped at the machine's own associativities and TLB size.
+    st = simulate_hierarchy(
+        self.trace(fields, build_trace), machine, include_tlb=include_tlb
+    )
+    st.publish()
+    return st
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("cache", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
-def test_golden_multiconfig_toggle(name, cache, jobs, monkeypatch, request, tmp_path):
-    """Goldens hold byte-identical under both cap policies of the
-    stack-distance engine, serially and under a 2-worker pool.
+def test_golden_multiconfig_toggle(
+    name, cache, jobs, monkeypatch, request, empty_store
+):
+    """Goldens hold byte-identical whether each point is priced from the
+    store's multi-config profile or by the :func:`simulate_hierarchy`
+    oracle, serially and under a 2-worker pool.
 
-    With the trace cache on (an empty store per leg), every point is
-    priced from the store's multi-config profile; with it off, from
-    :func:`simulate_hierarchy` capped at the machine's own
-    associativities and TLB size.
+    ``cache="1"`` runs the figure on the empty store, then again on a
+    fresh store handle over the same root with every trace build
+    forbidden: the second run prices each point from a profile read
+    back from its ``.npz``.  ``"0"`` replaces :meth:`TraceStore.stats`
+    with the oracle, which forked pool workers inherit.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
     from repro.memsim import store as store_mod
 
-    monkeypatch.setenv("REPRO_TRACE_CACHE", cache)
-    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "store"))
-    monkeypatch.setattr(store_mod, "_DEFAULT", None)
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"
+    if cache == "0":
+        monkeypatch.setattr(store_mod.TraceStore, "stats", _simulate)
     assert path.read_bytes() == _serialize(CASES[name](jobs))
+    if cache == "1":
+        monkeypatch.setattr(store_mod.TraceStore, "trace", _no_trace)
+        monkeypatch.setattr(store_mod, "_DEFAULT", None)
+        assert path.read_bytes() == _serialize(CASES[name](jobs))
 
 
 def test_seconds_fields_zeroed_under_deterministic_timing():

@@ -18,13 +18,13 @@ class TestParsing:
 
     def test_unset_takes_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_PERF_HISTORY", raising=False)
         assert knobs.flag("REPRO_OBS") is False
-        assert knobs.flag("REPRO_TRACE_CACHE") is True  # default-on
+        assert knobs.flag("REPRO_PERF_HISTORY") is True  # default-on
 
     def test_empty_string_is_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "   ")
-        assert knobs.flag("REPRO_TRACE_CACHE") is True
+        monkeypatch.setenv("REPRO_PERF_HISTORY", "   ")
+        assert knobs.flag("REPRO_PERF_HISTORY") is True
 
     def test_integer(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", " 3 ")
@@ -64,8 +64,8 @@ class TestRegistry:
         for expected in (
             "REPRO_OBS", "REPRO_OBS_DIR", "REPRO_JOBS",
             "REPRO_DETERMINISTIC_TIMING",
-            "REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_DIR",
-            "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
+            "REPRO_TRACE_CACHE_DIR",
+            "REPRO_PERF_HISTORY", "REPRO_PERF_HISTORY_DIR",
             "REPRO_SERVE_MAX_RETRIES", "REPRO_SERVE_TEST_HOOKS",
         ):
             assert expected in names
@@ -123,10 +123,10 @@ class TestEnvironIsolation:
         pair (with test_zz companion below) would flake without it."""
         import os
 
-        os.environ["REPRO_SERVE_PORT"] = "54321"
-        assert knobs.integer("REPRO_SERVE_PORT") == 54321
+        os.environ["REPRO_SERVE_MAX_RETRIES"] = "54321"
+        assert knobs.integer("REPRO_SERVE_MAX_RETRIES") == 54321
 
     def test_zz_previous_test_write_was_rolled_back(self):
         import os
 
-        assert os.environ.get("REPRO_SERVE_PORT") is None
+        assert os.environ.get("REPRO_SERVE_MAX_RETRIES") is None

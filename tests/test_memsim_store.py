@@ -1,6 +1,4 @@
-"""On-disk profile/stats store: roundtrips, counters, keys, knobs."""
-
-import json
+"""On-disk reuse-profile store: roundtrips, counters, keys, knobs."""
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from repro.memsim.synthetic import dense_standard_events
 
 @pytest.fixture
 def store(tmp_path):
-    return TraceStore(root=tmp_path, enabled=True)
+    return TraceStore(root=tmp_path)
 
 
 @pytest.fixture
@@ -61,40 +59,55 @@ def _same_profile(a: ReuseProfile, b: ReuseProfile) -> bool:
 class TestRoundtrip:
     def test_profile_roundtrip_and_counters(self, store):
         stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        assert store.counters() == {
-            "stats_hits": 0,
-            "stats_misses": 1,
-            "profile_hits": 0,
-            "profile_misses": 1,
-        }
+        assert store.counters() == {"profile_hits": 0, "profile_misses": 1}
         built = store.profile(FIELDS, MACH, _no_build)
-        fresh = TraceStore(root=store.root, enabled=True)
+        fresh = TraceStore(root=store.root)
         loaded = fresh.profile(FIELDS, MACH, _no_build)
         assert _same_profile(loaded, built)
         assert loaded.l1_hist.dtype == np.int64
         assert loaded.query(MACH) == stats
-        assert fresh.counters() == {
-            "stats_hits": 0,
-            "stats_misses": 0,
-            "profile_hits": 1,
-            "profile_misses": 0,
-        }
+        assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
 
     def test_cold_stats_leave_no_trace_file(self, store):
         cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         files = [p for p in store.root.rglob("*") if p.is_file()]
-        assert sorted(p.suffix for p in files) == [".json", ".npz"]
-        assert not list(store.root.rglob("*.npy"))
+        assert [p.suffix for p in files] == [".npz"]
 
     def test_stats_roundtrip(self, store, builds):
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         assert s1 == s2
-        assert store.stats_hits == 1 and store.stats_misses == 1
-        # The stats hit short-circuits: no profile lookup, no trace
-        # build on the second call.
-        assert store.profile_hits == 0 and store.profile_misses == 1
+        # The second call prices from the warm profile: no trace build.
+        assert store.profile_hits == 1 and store.profile_misses == 1
         assert builds == [FIELDS]
+        # A fresh handle on the same root prices from the stored profile.
+        fresh = TraceStore(root=store.root)
+        assert cached_multiply_stats(
+            "standard", "LZ", 32, 8, MACH, store=fresh
+        ) == s1
+        assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
+
+    def test_profile_memo_evicts_least_recently_used(self, store, monkeypatch):
+        """A memo hit counts as a use: a full memo evicts the profile
+        touched longest ago, not the one inserted first."""
+        monkeypatch.setattr(store_mod, "_MEMO_PROFILES", 4)
+
+        def fields(i):
+            return {"src": "memo-probe", "i": i}
+
+        def build():
+            return np.arange(64, dtype=np.int64) * MACH.l1.line
+
+        for i in range(4):
+            store.profile(fields(i), MACH, build)
+        store.profile(fields(0), MACH, _no_build)  # re-touch the oldest
+        store.profile(fields(4), MACH, build)  # evicts one profile
+        for npz in store.root.rglob("*.npz"):
+            npz.unlink()  # only the in-memory memo can answer now
+        store.profile(fields(0), MACH, _no_build)
+        misses = store.profile_misses
+        store.profile(fields(1), MACH, build)
+        assert store.profile_misses == misses + 1
 
     def test_stats_match_direct_simulation(self, store):
         table, sizes = synthesize_multiply("standard", "LZ", 32, 8)
@@ -105,7 +118,7 @@ class TestRoundtrip:
     def test_synthetic_roundtrip(self, store):
         s1 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
         s2 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
-        assert s1 == s2 and store.stats_hits == 1
+        assert s1 == s2 and store.profile_hits == 1
         events = dense_standard_events(n=24, tile=8)
         addrs = expand_table(EventTable.from_events(events), MACH)
         assert s1 == simulate_hierarchy(addrs, MACH)
@@ -127,7 +140,7 @@ class TestKeys:
 
     def test_machine_pricing_does_not_split_traces(self, store, builds):
         # Same expansion geometry, different cycle costs: one trace
-        # build, one profile file, two stats entries.
+        # build, one profile file, two prices.
         import dataclasses
 
         m1 = MACH
@@ -135,7 +148,6 @@ class TestKeys:
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, m1, store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, m2, store=store)
         assert builds == [FIELDS]
-        assert store.stats_misses == 2
         # The second machine answers from the warm reuse-distance
         # profile without rebuilding the trace.
         assert len(list(store.root.rglob("*.npz"))) == 1
@@ -143,18 +155,27 @@ class TestKeys:
         assert s1.l1_misses == s2.l1_misses and s1.cycles != s2.cycles
 
     def test_machine_geometry_splits_stats(self, store):
+        # Another config family (line size, set count) needs its own
+        # profile: a second build and a second .npz.
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, ultrasparc_like(), store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, modern_like(), store=store)
-        assert store.stats_misses == 2
+        assert store.profile_misses == 2 and store.profile_hits == 0
+        assert len(list(store.root.rglob("*.npz"))) == 2
         assert s1 != s2
 
-    def test_include_tlb_splits_stats(self, store):
+    def test_include_tlb_splits_stats(self, store, builds):
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         s2 = cached_multiply_stats(
             "standard", "LZ", 32, 8, MACH, include_tlb=False, store=store
         )
-        assert store.stats_misses == 2
+        # One profile prices both: the flag only drops the TLB term.
+        assert builds == [FIELDS]
+        assert store.profile_misses == 1 and store.profile_hits == 1
+        assert len(list(store.root.rglob("*.npz"))) == 1
         assert s2.tlb_misses == 0 and s1.tlb_misses > 0
+        assert (s2.accesses, s2.l1_misses, s2.l2_misses) == (
+            s1.accesses, s1.l1_misses, s1.l2_misses
+        )
 
     def test_key_is_canonical(self):
         k1 = TraceStore.key_of({"a": 1, "b": 2})
@@ -167,47 +188,28 @@ class TestRobustness:
         cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
         (npz,) = list(store.root.rglob("*.npz"))
         npz.write_bytes(b"not a numpy file")
-        fresh = TraceStore(root=store.root, enabled=True)
+        fresh = TraceStore(root=store.root)
         again = fresh.profile(FIELDS, MACH, BUILD)
         assert fresh.profile_misses == 1
         with open(npz, "rb") as fh:
             assert _same_profile(again, ReuseProfile.load(fh))
 
-    def test_corrupt_stats_file_is_rebuilt(self, store):
-        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        (js,) = list(store.root.rglob("*.json"))
-        js.write_text(json.dumps({"bogus": 1}))
-        s = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        assert store.stats_misses == 2
-        assert s.accesses > 0
-
     @pytest.mark.parametrize(
-        "suffix, damage",
-        [
-            (".json", lambda blob: b""),
-            (".npz", lambda blob: b""),
-            (".npz", lambda blob: blob[: len(blob) // 2]),
-        ],
-        ids=["empty-json", "empty-npz", "half-npz"],
+        "damage",
+        [lambda blob: b"", lambda blob: blob[: len(blob) // 2]],
+        ids=["empty-npz", "half-npz"],
     )
-    def test_damaged_artifact_is_rebuilt(self, tmp_path, suffix, damage):
-        first = TraceStore(root=tmp_path, enabled=True)
+    def test_damaged_artifact_is_rebuilt(self, tmp_path, damage):
+        first = TraceStore(root=tmp_path)
         stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=first)
         profile = first.profile(FIELDS, MACH, _no_build)
-        if suffix == ".npz":
-            for js in tmp_path.rglob("*.json"):
-                js.unlink()  # force the next stats call through the profile
-        (path,) = list(tmp_path.rglob("*" + suffix))
+        (path,) = list(tmp_path.rglob("*.npz"))
         path.write_bytes(damage(path.read_bytes()))
-        store = TraceStore(root=tmp_path, enabled=True)
+        store = TraceStore(root=tmp_path)
         assert cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store) == stats
         assert _same_profile(store.profile(FIELDS, MACH, _no_build), profile)
-        # Exactly the damaged artifact was rebuilt (the deleted stats
-        # of the .npz cases miss too).
-        if suffix == ".json":
-            assert (store.stats_misses, store.profile_misses) == (1, 0)
-        else:
-            assert (store.stats_misses, store.profile_misses) == (1, 1)
+        # The damaged profile was rebuilt once, then answered warm.
+        assert store.counters() == {"profile_hits": 1, "profile_misses": 1}
         assert path.stat().st_size > 0
 
     def test_reset_counters(self, store):
@@ -217,19 +219,6 @@ class TestRobustness:
 
 
 class TestKnobs:
-    def test_disabled_store_touches_no_disk(self, tmp_path):
-        off = TraceStore(root=tmp_path / "off", enabled=False)
-        s = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=off)
-        assert s.accesses > 0
-        assert not (tmp_path / "off").exists()
-        assert not any(off.counters().values())
-
-    def test_env_knob_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert TraceStore(root=tmp_path).enabled is False
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert TraceStore(root=tmp_path).enabled is True
-
     def test_env_root_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "alt"))
         assert TraceStore().root == tmp_path / "alt"

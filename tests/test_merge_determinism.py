@@ -24,8 +24,8 @@ def _payloads(size):
         {
             "index": i,
             "row": {"point": i, "value": i * i},
-            "store_counters": {"stats_hits": i, "profile_misses": 1},
-            "store_touched": {f"stats:key{i}": "hit" if i % 2 else "miss"},
+            "store_counters": {"profile_hits": i, "profile_misses": 1},
+            "store_touched": {f"profile:key{i}": "hit" if i % 2 else "miss"},
         }
         for i in range(size)
     ]
@@ -49,25 +49,28 @@ def test_rows_invariant_under_completion_order(case):
 
 @given(permuted_sweep())
 @settings(max_examples=60, deadline=None)
-def test_store_side_effects_invariant_under_completion_order(case):
+def test_store_side_effects_invariant_under_completion_order(
+    tmp_path_factory, case
+):
     size, shuffled = case
     # Give the merge a private store so the property is observable in
-    # isolation (merge_payloads folds counters into the default store).
-    # Swapped by hand: hypothesis forbids the function-scoped
-    # monkeypatch fixture inside @given.
+    # isolation (merge_payloads folds counters into the default store;
+    # it never touches the store's root).  Swapped by hand: hypothesis
+    # forbids the function-scoped monkeypatch and tmp_path fixtures
+    # inside @given.
     import repro.memsim.store as store_mod
 
-    store = TraceStore(root="/tmp/unused-prop-store", enabled=False)
+    store = TraceStore(root=tmp_path_factory.getbasetemp() / "prop-store")
     saved = store_mod._DEFAULT
     store_mod._DEFAULT = store
     try:
         merge_payloads(_grid(size), shuffled)
     finally:
         store_mod._DEFAULT = saved
-    assert store.stats_hits == sum(range(size))
+    assert store.profile_hits == sum(range(size))
     assert store.profile_misses == size
     # Touched keys land in point order regardless of arrival order.
-    assert list(store.touched_map()) == [f"stats:key{i}" for i in range(size)]
+    assert list(store.touched_map()) == [f"profile:key{i}" for i in range(size)]
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())

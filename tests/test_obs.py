@@ -147,7 +147,7 @@ class TestMetrics:
             pass
         text = obs.render_report()
         assert "trace cache" in text
-        assert "profiles:" in text and "stats:" in text
+        assert "root:" in text and "profiles:" in text
         assert "fig5.point" in text
         assert "memsim.store.profile_hits = 3" in text
 
@@ -177,21 +177,19 @@ class TestStatsPublishing:
         from repro.memsim.machine import scaled
         from repro.memsim.store import TraceStore, cached_synthetic_stats
 
-        store = TraceStore(root=tmp_path, enabled=True)
+        store = TraceStore(root=tmp_path)
         machine = scaled()
         cached_synthetic_stats("dense_standard", machine, store=store, n=16, tile=8)
         cached_synthetic_stats("dense_standard", machine, store=store, n=16, tile=8)
         snap = obs.registry().snapshot()
-        assert snap["counters"]["memsim.store.stats_misses"] == 1
-        assert snap["counters"]["memsim.store.stats_hits"] == 1
-        assert snap["counters"]["memsim.simulations"] == 2
         assert snap["counters"]["memsim.store.profile_misses"] == 1
+        assert snap["counters"]["memsim.store.profile_hits"] == 1
+        assert snap["counters"]["memsim.simulations"] == 2
         addrs = store.content_addresses()
-        # One stats key + the profile key that answered the stats miss;
-        # traces are never stored, so never touched.
-        kinds = {a.split(":", 1)[0] for a in addrs}
-        assert kinds == {"stats", "profile"}
-        assert any(a.startswith("stats:") and a.endswith("=miss") for a in addrs)
+        # One profile key, first touched by the miss that built it;
+        # traces and priced stats are never stored, so never touched.
+        assert len(addrs) == 1
+        assert addrs[0].startswith("profile:") and addrs[0].endswith("=miss")
 
 
 class TestManifest:
@@ -199,7 +197,7 @@ class TestManifest:
         from repro.memsim.machine import ultrasparc_like
         from repro.memsim.store import TraceStore
 
-        store = TraceStore(root=tmp_path / "cache", enabled=True)
+        store = TraceStore(root=tmp_path / "cache")
         m = obs.build_manifest(
             command="test", argv=["x"], seed=7,
             machine=ultrasparc_like(), store=store, extra={"k": "v"},
@@ -210,7 +208,10 @@ class TestManifest:
         assert m["k"] == "v"
         assert len(m["machine"]["sha256"]) == 64
         assert m["trace_cache"]["profile_hits"] == 0
-        assert "trace_hits" not in m["trace_cache"]
+        assert set(m["trace_cache"]) == {
+            "root", "profile_hits", "profile_misses", "touched_total",
+            "content_addresses",
+        }
         path = obs.write_manifest(tmp_path / "m.json", m)
         loaded = json.loads(path.read_text())
         assert loaded["machine"]["sha256"] == m["machine"]["sha256"]

@@ -271,12 +271,9 @@ class TestWorkerCall:
         assert payload["row"] == run_point(point)
         # Cold miss on first call, then the second task's delta is a
         # pure hit: counters are reset per task, so deltas are exact.
-        assert payload["store_counters"]["stats_misses"] == 1
+        assert payload["store_counters"]["profile_misses"] == 1
         again = par._worker_call(point)
-        assert again["store_counters"] == {
-            "stats_hits": 1, "stats_misses": 0,
-            "profile_hits": 0, "profile_misses": 0,
-        }
+        assert again["store_counters"] == {"profile_hits": 1, "profile_misses": 0}
         assert all(v == "hit" for v in again["store_touched"].values())
         assert "spans" not in payload and "metrics" not in payload
 
@@ -291,7 +288,7 @@ class TestWorkerCall:
         payload = par._worker_call(GRIDS["fig6sim"][1])
         names = [rec["name"] for rec in payload["spans"]]
         assert "fig6sim.point" in names
-        assert payload["metrics"]["counters"]["memsim.store.stats_misses"] == 1
+        assert payload["metrics"]["counters"]["memsim.store.profile_misses"] == 1
         path = worker_dir / f"spans-worker-{os.getpid()}.jsonl"
         assert path.exists()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -305,20 +302,20 @@ class TestMerge:
         points = [make_point("fig9", i, "fig6sim.point") for i in range(2)]
         payloads = [
             {"index": 1, "row": {"v": 1},
-             "store_counters": {"stats_hits": 2, "profile_misses": 1},
-             "store_touched": {"stats:aa": "hit"}},
+             "store_counters": {"profile_hits": 2, "profile_misses": 1},
+             "store_touched": {"profile:aa": "hit"}},
             {"index": 0, "row": {"v": 0},
-             "store_counters": {"stats_hits": 1},
-             "store_touched": {"stats:aa": "miss", "profile:bb": "miss"}},
+             "store_counters": {"profile_hits": 1},
+             "store_touched": {"profile:aa": "miss", "profile:bb": "miss"}},
         ]
         rows = merge_payloads(points, payloads)
         assert rows == [{"v": 0}, {"v": 1}]
-        assert fresh_store.stats_hits == 3
+        assert fresh_store.profile_hits == 3
         assert fresh_store.profile_misses == 1
         # First-touch wins in *point* order, not completion order: the
         # index-1 payload arrived first but merges second, so index 0's
         # verdict for the shared key sticks.
-        assert fresh_store.touched_map()["stats:aa"] == "miss"
+        assert fresh_store.touched_map()["profile:aa"] == "miss"
         assert fresh_store.touched_map()["profile:bb"] == "miss"
 
     def test_obs_merge_side_effect(self, fresh_store, obs_on):
@@ -408,10 +405,11 @@ class TestPooledObs:
         assert counts.get("sweep.pool") == 1
         assert counts.get("fig6sim.point") == len(points)
         snap = obs.registry().snapshot()
-        assert snap["counters"]["memsim.store.stats_misses"] == len(points)
+        assert snap["counters"]["memsim.store.profile_misses"] == len(points)
         assert snap["gauges"]["sweep.jobs"] == 2
-        # Cold sweep: every point was a stats miss, merged from workers.
-        assert fresh_store.stats_misses == len(points)
+        # Cold sweep: every point (one trace each) was a profile miss,
+        # merged from workers.
+        assert fresh_store.profile_misses == len(points)
         assert len(fresh_store.touched_map()) >= len(points)
         worker_files = list((obs_on / "workers").glob("spans-worker-*.jsonl"))
         assert worker_files, "workers wrote no span JSONL files"

@@ -297,7 +297,7 @@ def test_metrics_exposes_service_state(server):
     assert payload["jobs"]["total"] == payload["jobs"]["done"] + \
         payload["jobs"]["failed"] + payload["jobs"]["queued"] + \
         payload["jobs"]["running"]
-    assert set(payload["store"]) >= {"stats_hits", "stats_misses"}
+    assert set(payload["store"]) >= {"profile_hits", "profile_misses"}
 
 
 # -- fault injection ---------------------------------------------------
@@ -309,9 +309,9 @@ def _corrupt_fault_artifact(cache_root: Path) -> Path:
     from repro.memsim.machine import scaled
     from repro.memsim.store import TraceStore, _multiply_fields, _profile_key
 
-    store = TraceStore(root=cache_root, enabled=True)
+    store = TraceStore(root=cache_root)
     fields = _multiply_fields("standard", "LZ", 16, 8, "accumulate", None)
-    path = store._path(_profile_key(fields, scaled(8)), ".npz")
+    path = store._path(_profile_key(fields, scaled(8)))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"PK\x03\x04 garbage that will not load as a profile")
     return path
@@ -354,7 +354,7 @@ def test_sigkilled_worker_is_retried_and_store_survives(tmp_path):
         # stats an isolated in-process store produces.
         expected = cached_multiply_stats(
             "standard", "LZ", 16, 8, scaled(8),
-            store=TraceStore(root=tmp_path / "reference", enabled=True),
+            store=TraceStore(root=tmp_path / "reference"),
         )
         assert len(payload["rows"]) == 3
         for row in payload["rows"]:

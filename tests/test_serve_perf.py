@@ -120,8 +120,8 @@ def test_session_record_shape(session_records):
     assert metrics["serve.jobs.executed"] == 2
     assert metrics["serve.request_seconds.count"] > 0
     # The session shares one warm store across both legs: the jobs=2
-    # leg answered from stats cached by the jobs=1 leg.
-    assert metrics["trace_cache.stats_hits"] >= 4
+    # leg answered from profiles built by the jobs=1 leg.
+    assert metrics["trace_cache.profile_hits"] >= 4
 
 
 def test_serve_budgets_are_declared():

@@ -76,7 +76,7 @@ def _worker(root, build_log, barrier, out_dir):
     """One racing process: open the shared store, get-or-build the
     profile, report counters and a content digest to the parent via
     JSON."""
-    store = TraceStore(root=root, enabled=True)
+    store = TraceStore(root=root)
 
     def build():
         # Log every trace build (one per profile miss) so the parent can
@@ -126,7 +126,7 @@ def _run_workers(n, root, tmp_path):
 
 
 def _profile_path(store: TraceStore) -> "os.PathLike":
-    return store._path(store_mod._profile_key(FIELDS, MACH), ".npz")
+    return store._path(store_mod._profile_key(FIELDS, MACH))
 
 
 N = 4
@@ -146,7 +146,7 @@ class TestColdRace:
         assert misses == builds
         assert 1 <= builds <= N
         # The published artifact is valid and byte-stable afterwards.
-        store = TraceStore(root=root, enabled=True)
+        store = TraceStore(root=root)
         prof = store.profile(FIELDS, MACH, lambda: pytest.fail("unexpected rebuild"))
         assert _digest(prof) == _expected_digest()
         assert store.counters()["profile_hits"] == 1
@@ -155,7 +155,7 @@ class TestColdRace:
 class TestWarmStorm:
     def test_concurrent_warm_gets_never_recompute(self, tmp_path):
         root = tmp_path / "store"
-        TraceStore(root=root, enabled=True).profile(FIELDS, MACH, _expected_array)
+        TraceStore(root=root).profile(FIELDS, MACH, _expected_array)
         results, builds = _run_workers(N, root, tmp_path)
         assert builds == 0
         assert all(r["counters"]["profile_misses"] == 0 for r in results)
@@ -167,7 +167,7 @@ def _crash_mid_write(root):
     """Write the first half of a real ``.npz`` artifact to the store's
     actual tmp path, flush it to disk, then die without cleanup —
     exactly what a worker killed mid-publish leaves behind."""
-    store = TraceStore(root=root, enabled=True)
+    store = TraceStore(root=root)
     final = _profile_path(store)
     final.parent.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
@@ -189,7 +189,7 @@ class TestMidWriteCrash:
         victim.start()
         victim.join(timeout=60)
         assert victim.exitcode == -signal.SIGKILL
-        store = TraceStore(root=root, enabled=True)
+        store = TraceStore(root=root)
         final = _profile_path(store)
         # The torn write stayed on the tmp path: nothing was published.
         assert not final.exists()
@@ -207,7 +207,7 @@ class TestMidWriteCrash:
 class TestCorruptArtifact:
     def test_concurrent_reads_of_corrupt_file_rebuild(self, tmp_path):
         root = tmp_path / "store"
-        store = TraceStore(root=root, enabled=True)
+        store = TraceStore(root=root)
         final = _profile_path(store)
         final.parent.mkdir(parents=True, exist_ok=True)
         final.write_bytes(b"PK\x03\x04 corrupted beyond repair")

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.layouts.registry import PAPER_LAYOUTS
-from repro.memsim import store as store_mod
 from repro.memsim import synthesis
 from repro.memsim.coherence import assign_by_output, false_sharing_stats
 from repro.memsim.machine import scaled, ultrasparc_like
@@ -237,29 +236,3 @@ class TestUnsupportedFallback:
     def test_unknown_algorithm_raises(self):
         with pytest.raises(UnsupportedSynthesis):
             synthesize_multiply("nosuch", "LZ", 16, 8)
-
-    def test_store_builder_identical_on_and_off(self, monkeypatch):
-        """The store's multiply builder gives the same bytes with
-        synthesis on (default) and off (its fallback to the tracer)."""
-        calls = []
-        tracer = store_mod.trace_multiply
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return tracer(*args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise UnsupportedSynthesis("synthesis refused by the test")
-
-        def build():
-            return store_mod._multiply_builder(
-                "strassen", "LH", 24, 8, MACH, "accumulate", None
-            )()
-
-        monkeypatch.setattr(store_mod, "trace_multiply", counted)
-        on = build()
-        assert not calls
-        monkeypatch.setattr(store_mod, "synthesize_multiply", refuse)
-        off = build()
-        assert len(calls) == 1
-        assert np.array_equal(on, off)
