@@ -76,7 +76,8 @@ def test_e11_space_saving_variant(benchmark):
             row = [n]
             for algo in ("strassen", "strassen_space"):
                 for lay in ("LC", "LZ"):
-                    st = cached_multiply_stats(algo, lay, n, 16, mach, depth=4)
+                    (st,) = cached_multiply_stats(algo, lay, n, 16, [mach],
+                                                  depth=4)
                     row.append(st.cycles / flops)
             rows.append(row)
         return rows
@@ -153,11 +154,11 @@ def test_e13_associativity_sensitivity(benchmark):
         for mname, mach in machines.items():
             for n in (250, 256):
                 flops = 2.0 * n**3
-                lc = cached_synthetic_stats(
-                    "dense_standard", mach, n=n, tile=16, include_tlb=False
+                (lc,) = cached_synthetic_stats(
+                    "dense_standard", [mach], n=n, tile=16, include_tlb=False
                 )
-                lz = cached_multiply_stats(
-                    "standard", "LZ", n, 16, mach, depth=4, include_tlb=False
+                (lz,) = cached_multiply_stats(
+                    "standard", "LZ", n, 16, [mach], depth=4, include_tlb=False
                 )
                 rows.append(
                     [mname, n, lc.cycles / flops, lz.cycles / flops,

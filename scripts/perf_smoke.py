@@ -163,12 +163,12 @@ def main(argv=None) -> None:
     # silently rebuilds everything shows up as misses on a warm store).
     store = default_store()
     store.reset_counters()
-    cached_multiply_stats("standard", "LZ", N, TILE, mach, store=store)
+    cached_multiply_stats("standard", "LZ", N, TILE, [mach], store=store)
     cold_counters = store.counters()
     fresh = TraceStore(root=store.root)
     fields = _multiply_fields("standard", "LZ", N, TILE, "accumulate", None)
     t0 = time.perf_counter()
-    fresh.profile(fields, mach, refuse_build)
+    fresh.profile(fields, [mach], refuse_build)
     warm_seconds = time.perf_counter() - t0
     assert fresh.counters()["profile_hits"] == 1, (
         f"warm profile read missed the store at {store.root}: "
@@ -385,11 +385,11 @@ def main(argv=None) -> None:
     else:
         print(f"parallel sweep speedup floor skipped ({cpus} CPUs)")
 
-    # Multi-config simulation: one reuse-distance profile vs per-config
-    # replay (one simulate_hierarchy, i.e. one profile at the machine's
-    # own caps, per machine) over a 16-machine associativity/TLB grid
-    # (all in one set family, so a single build answers every member).
-    # The two must agree exactly.
+    # Multi-config simulation: one reuse-distance profile at the grid's
+    # caps vs per-config replay (one simulate_hierarchy, i.e. one profile
+    # at the machine's own caps, per machine) over a 16-machine
+    # associativity/TLB grid (all in one set family, so a single build
+    # answers every member).  The two must agree exactly.
     mc_machines = [
         assoc_scaled(l1_assoc=l1a, l2_assoc=l2a, tlb_entries=tlb)
         for l1a in (1, 2, 4, 8)
@@ -403,7 +403,7 @@ def main(argv=None) -> None:
         return [simulate_hierarchy(mc_addresses, m) for m in mc_machines]
 
     def run_profiled():
-        prof = build_profile(mc_addresses, mc_machines[0])
+        prof = build_profile(mc_addresses, mc_machines)
         return [prof.query(m) for m in mc_machines]
 
     replay_seconds, replay_stats = timed(run_replay, repeats=2)

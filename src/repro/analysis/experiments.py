@@ -254,15 +254,20 @@ def fig6_machine_scaling(
         n=n, tile=tile, algorithms=algorithms, layouts=layouts,
         l1_assocs=l1_assocs, l2_assocs=l2_assocs, tlb_entries=tlb_entries,
     )
-    with obs.span("fig6ms", n=n, tile=tile, configs=len(points)):
+    configs = len(points) * len(l1_assocs) * len(l2_assocs) * len(tlb_entries)
+    with obs.span("fig6ms", n=n, tile=tile, configs=configs):
         raw = run_sweep(points, jobs=jobs)
     return fig6ms_merge(raw, n=n, layouts=layouts)
 
 
-def fig6ms_merge(raw: list[dict], *, n: int, layouts: Sequence[str]) -> list[dict]:
-    """Merge step of :func:`fig6_machine_scaling`: derive cycles/flop and
-    the per-machine vs-L_C ratio (needs the whole layout row group for
-    each machine config).  Shared with the simulation service."""
+def fig6ms_merge(
+    raw: list[list[dict]], *, n: int, layouts: Sequence[str]
+) -> list[dict]:
+    """Merge step of :func:`fig6_machine_scaling`: flatten each trace's
+    per-machine rows in sweep order, then derive cycles/flop and the
+    per-machine vs-L_C ratio (needs the whole layout row group for each
+    machine config).  Shared with the simulation service."""
+    raw = [row for trace_rows in raw for row in trace_rows]
     cycles = {
         (r["algorithm"], r["layout"], r["l1_assoc"], r["l2_assoc"],
          r["tlb_entries"]): r["cycles"]

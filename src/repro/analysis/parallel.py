@@ -44,6 +44,7 @@ zeroed via ``REPRO_DETERMINISTIC_TIMING`` — see
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -62,7 +63,6 @@ from repro.memsim.store import (
     cached_multiply_stats,
     cached_synthetic_stats,
     default_store,
-    trace_address,
 )
 
 __all__ = [
@@ -88,8 +88,9 @@ __all__ = [
 #: Registry of module-level point functions, keyed by the name a
 #: :class:`SweepPoint` carries.  Registration happens at import time, so
 #: a freshly spawned worker that imports this module can resolve every
-#: point a parent pickles to it.
-POINT_FUNCTIONS: dict[str, Callable[..., dict]] = {}
+#: point a parent pickles to it.  A point function returns its row, or
+#: its list of rows when one trace is priced on many machines (fig6ms).
+POINT_FUNCTIONS: dict[str, Callable[..., dict | list[dict]]] = {}
 
 
 def point_function(name: str):
@@ -118,31 +119,23 @@ class SweepPoint:
     index: int
     fn: str
     params: tuple[tuple[str, Any], ...]
-    #: Work-sharing key: points with equal non-None groups simulate the
-    #: same trace (e.g. machine-model sweeps over one multiply), so the
-    #: pooled executor schedules them onto one worker where the warm
-    #: in-memory reuse-distance profile answers every member after the
-    #: first, with no trace rebuilt and no profile re-read from disk.
-    group: str | None = None
 
     def kwargs(self) -> dict[str, Any]:
         """The point function's keyword arguments as a dict."""
         return dict(self.params)
 
 
-def make_point(
-    fig: str, index: int, fn: str, *, group: str | None = None, **params
-) -> SweepPoint:
+def make_point(fig: str, index: int, fn: str, **params) -> SweepPoint:
     """Build a :class:`SweepPoint`, validating the function name."""
     if fn not in POINT_FUNCTIONS:
         raise KeyError(
             f"unknown point function {fn!r}; registered: "
             f"{sorted(POINT_FUNCTIONS)}"
         )
-    return SweepPoint(fig, index, fn, tuple(sorted(params.items())), group)
+    return SweepPoint(fig, index, fn, tuple(sorted(params.items())))
 
 
-def run_point(point: SweepPoint) -> dict:
+def run_point(point: SweepPoint) -> dict | list[dict]:
     """Execute one sweep point in the current process."""
     try:
         fn = POINT_FUNCTIONS[point.fn]
@@ -215,30 +208,6 @@ def _worker_call(point: SweepPoint) -> dict:
         if _WORKER_DIR:
             _append_worker_spans(_WORKER_DIR, records)
     return payload
-
-
-def _worker_call_batch(points: Sequence[SweepPoint]) -> list[dict]:
-    """Run a profile-sharing group of points in one worker, in order.
-
-    Each point still produces its own :func:`_worker_call` payload (the
-    per-task counter/obs delta contract is unchanged); co-locating the
-    group simply means members after the first find the trace's
-    reuse-distance profile warm in this process's store.
-    """
-    return [_worker_call(p) for p in points]
-
-
-def _group_batches(points: Sequence[SweepPoint]) -> list[list[SweepPoint]]:
-    """Bucket points by sharing group, in first-seen order.
-
-    Ungrouped points (``group is None``) stay singleton batches, so
-    sweeps that never set a group schedule exactly as before.
-    """
-    batches: dict[Any, list[SweepPoint]] = {}
-    for point in points:
-        key: Any = point.group if point.group is not None else ("solo", point.index)
-        batches.setdefault(key, []).append(point)
-    return list(batches.values())
 
 
 # -- execution and merge -----------------------------------------------
@@ -325,23 +294,10 @@ def run_sweep(
             initializer=_pool_init,
             initargs=(obs.enabled(), worker_dir),
         )
-    batches = _group_batches(points)
-    obs.observe("sweep.groups", len(batches))
-    payloads = []
     with obs.span("sweep.pool", fig=points[0].fig, points=len(points), jobs=jobs):
         with executor_factory(jobs) as executor:
-            futures = [
-                executor.submit(_worker_call, batch[0])
-                if len(batch) == 1
-                else executor.submit(_worker_call_batch, batch)
-                for batch in batches
-            ]
-            for fut in as_completed(futures):
-                result = fut.result()
-                if isinstance(result, list):
-                    payloads.extend(result)
-                else:
-                    payloads.append(result)
+            futures = [executor.submit(_worker_call, p) for p in points]
+            payloads = [fut.result() for fut in as_completed(futures)]
     return merge_payloads(points, payloads)
 
 
@@ -390,7 +346,7 @@ def fig4_point(
             "conversion_fraction": res.conversion_fraction,
         }
         if include_memsim:
-            stats = cached_multiply_stats(algorithm, layout, n, tile, machine)
+            (stats,) = cached_multiply_stats(algorithm, layout, n, tile, [machine])
             row["sim_cycles"] = stats.cycles
             row["sim_cycles_per_flop"] = stats.cycles / (2 * n**3)
             row["l1_miss_rate"] = stats.l1_miss_rate
@@ -415,11 +371,6 @@ def fig4_points(
     return [
         make_point(
             "fig4", i, "fig4.point",
-            group=(
-                trace_address(algorithm, layout, n, t, machine)
-                if include_memsim
-                else None
-            ),
             n=n, tile=t, algorithm=algorithm, layout=layout,
             repeats=repeats, machine=machine, include_memsim=include_memsim,
         )
@@ -435,16 +386,17 @@ def fig5_point(*, n: int, tile: int, machine: MachineModel, depth: int) -> dict:
     with obs.span("fig5.point", n=n, tile=tile):
         flops = 2.0 * n**3
         # standard / LC: canonical storage with leading dimension n.
-        lc_std = cached_synthetic_stats("dense_standard", machine, n=n, tile=tile)
+        (lc_std,) = cached_synthetic_stats("dense_standard", [machine], n=n,
+                                           tile=tile)
         # standard / LZ: real recursive-layout execution (padded).
-        lz_std = cached_multiply_stats("standard", "LZ", n, tile, machine,
-                                       depth=depth)
+        (lz_std,) = cached_multiply_stats("standard", "LZ", n, tile, [machine],
+                                          depth=depth)
         # strassen / LC: synthetic ld=n trace with contiguous temporaries.
-        lc_str = cached_synthetic_stats("dense_strassen", machine, n=n,
-                                        tile=tile, depth=depth)
+        (lc_str,) = cached_synthetic_stats("dense_strassen", [machine], n=n,
+                                           tile=tile, depth=depth)
         # strassen / LZ: real recursive-layout execution.
-        lz_str = cached_multiply_stats("strassen", "LZ", n, tile, machine,
-                                       depth=depth)
+        (lz_str,) = cached_multiply_stats("strassen", "LZ", n, tile, [machine],
+                                          depth=depth)
     return {
         "n": n,
         "standard_LC": lc_std.cycles / flops,
@@ -550,7 +502,7 @@ def fig6sim_point(
     the vs-L_C ratio, which need the whole per-algorithm row group.
     """
     with obs.span("fig6sim.point", algorithm=algorithm, layout=layout, n=n):
-        st = cached_multiply_stats(algorithm, layout, n, tile, machine)
+        (st,) = cached_multiply_stats(algorithm, layout, n, tile, [machine])
     return {"algorithm": algorithm, "layout": layout, "n": n,
             "cycles": st.cycles}
 
@@ -571,7 +523,6 @@ def fig6sim_points(
             points.append(
                 make_point(
                     "fig6sim", len(points), "fig6sim.point",
-                    group=trace_address(algo, lay, n, tile, machine),
                     algorithm=algo, layout=lay, n=n, tile=tile, machine=machine,
                 )
             )
@@ -582,33 +533,36 @@ def fig6sim_points(
 
 @point_function("fig6ms.point")
 def fig6ms_point(
-    *, algorithm: str, layout: str, n: int, tile: int, machine: MachineModel
-) -> dict:
+    *, algorithm: str, layout: str, n: int, tile: int,
+    machines: tuple[MachineModel, ...],
+) -> list[dict]:
     """One machine-scaling point: miss rates of one algorithm x layout
-    on one associativity/TLB configuration.
+    trace on every associativity/TLB configuration of the grid.
 
-    Every point of an (algorithm, layout) row group replays the *same*
-    trace, so the grid is the multi-config profile's home turf: the
-    first member builds the reuse-distance profile, the rest answer by
+    The grid is the multi-config profile's home turf: one profile,
+    built at the grid's union of caps, answers every machine by
     histogram suffix-sums.
     """
     with obs.span("fig6ms.point", algorithm=algorithm, layout=layout,
-                  l1_assoc=machine.l1.assoc, l2_assoc=machine.l2.assoc):
-        st = cached_multiply_stats(algorithm, layout, n, tile, machine)
-    return {
-        "algorithm": algorithm,
-        "layout": layout,
-        "n": n,
-        "l1_assoc": machine.l1.assoc,
-        "l1_kb": machine.l1.size // 1024,
-        "l2_assoc": machine.l2.assoc,
-        "l2_kb": machine.l2.size // 1024,
-        "tlb_entries": machine.tlb_entries,
-        "l1_miss_rate": st.l1_miss_rate,
-        "l2_miss_rate": st.l2_miss_rate,
-        "tlb_misses": st.tlb_misses,
-        "cycles": st.cycles,
-    }
+                  configs=len(machines)):
+        stats = cached_multiply_stats(algorithm, layout, n, tile, machines)
+    return [
+        {
+            "algorithm": algorithm,
+            "layout": layout,
+            "n": n,
+            "l1_assoc": machine.l1.assoc,
+            "l1_kb": machine.l1.size // 1024,
+            "l2_assoc": machine.l2.assoc,
+            "l2_kb": machine.l2.size // 1024,
+            "tlb_entries": machine.tlb_entries,
+            "l1_miss_rate": st.l1_miss_rate,
+            "l2_miss_rate": st.l2_miss_rate,
+            "tlb_misses": st.tlb_misses,
+            "cycles": st.cycles,
+        }
+        for machine, st in zip(machines, stats)
+    ]
 
 
 def fig6ms_points(
@@ -620,26 +574,15 @@ def fig6ms_points(
     l1_assocs: Sequence[int],
     l2_assocs: Sequence[int],
     tlb_entries: Sequence[int],
-    machine_factory: Callable[[int, int, int], MachineModel] = assoc_scaled,
 ) -> list[SweepPoint]:
-    """Machine-scaling grid: algorithm x layout x L1-way x L2-way x TLB,
-    grouped by trace content-address (machine axes share one trace)."""
-    points = []
-    for algo in algorithms:
-        for lay in layouts:
-            group = trace_address(
-                algo, lay, n, tile,
-                machine_factory(l1_assocs[0], l2_assocs[0], tlb_entries[0]),
-            )
-            for l1a in l1_assocs:
-                for l2a in l2_assocs:
-                    for tlb in tlb_entries:
-                        points.append(
-                            make_point(
-                                "fig6ms", len(points), "fig6ms.point",
-                                group=group,
-                                algorithm=algo, layout=lay, n=n, tile=tile,
-                                machine=machine_factory(l1a, l2a, tlb),
-                            )
-                        )
-    return points
+    """Machine-scaling grid: one point per algorithm x layout trace,
+    carrying the whole L1-way x L2-way x TLB machine grid."""
+    machines = tuple(
+        assoc_scaled(*axes)
+        for axes in itertools.product(l1_assocs, l2_assocs, tlb_entries)
+    )
+    return [
+        make_point("fig6ms", i, "fig6ms.point", algorithm=algo, layout=lay,
+                   n=n, tile=tile, machines=machines)
+        for i, (algo, lay) in enumerate(itertools.product(algorithms, layouts))
+    ]

@@ -15,8 +15,8 @@ trace-determined phenomena the paper measures.
 Every level is priced by the one capped stack-distance engine
 (:mod:`repro.memsim.engines`): :func:`simulate_hierarchy` builds the
 trace's reuse-distance profile at the machine's own associativities and
-TLB size (:func:`repro.memsim.multiconfig.profile_at_machine_caps`) and
-queries it once.
+TLB size (:func:`repro.memsim.multiconfig.build_profile` for
+``[machine]``) and queries it once.
 """
 
 from __future__ import annotations
@@ -75,13 +75,13 @@ def simulate_hierarchy(
 ) -> MemoryStats:
     """Price a byte-address trace on the machine model."""
     # Late import: multiconfig builds on this module's MemoryStats.
-    from repro.memsim.multiconfig import profile_at_machine_caps
+    from repro.memsim.multiconfig import build_profile
 
     addresses = np.asarray(addresses, dtype=np.int64)
     if addresses.size == 0:
         return MemoryStats(0, 0, 0, 0, 0.0)
     t0 = raw_perf_counter() if obs.enabled() else 0.0
-    prof = profile_at_machine_caps(addresses, machine)
+    prof = build_profile(addresses, [machine])
     stats = prof.query(machine, include_tlb=include_tlb)
     if obs.enabled():
         elapsed = raw_perf_counter() - t0

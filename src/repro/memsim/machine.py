@@ -19,6 +19,7 @@ DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 __all__ = [
     "CacheGeometry",
@@ -30,6 +31,17 @@ __all__ = [
 ]
 
 
+def _require(obj, kind: type, least: int, *fields: str) -> None:
+    """Raise ``ValueError`` unless every named field of ``obj`` is a
+    ``kind`` number (never a bool) of at least ``least``."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not isinstance(value, kind) or isinstance(value, bool) or value < least:
+            raise ValueError(
+                f"{name} must be {kind.__name__.lower()} >= {least}, got {value!r}"
+            )
+
+
 @dataclasses.dataclass(frozen=True)
 class CacheGeometry:
     """One cache level: capacity in bytes, line size, associativity."""
@@ -39,6 +51,7 @@ class CacheGeometry:
     assoc: int = 1
 
     def __post_init__(self) -> None:
+        _require(self, numbers.Integral, 1, "size", "line", "assoc")
         if self.size % (self.line * self.assoc):
             raise ValueError(
                 f"size {self.size} not divisible by line*assoc "
@@ -66,6 +79,11 @@ class MachineModel:
     l2_hit: float = 10.0
     mem: float = 50.0
     tlb_miss: float = 40.0
+
+    def __post_init__(self) -> None:
+        _require(self, numbers.Integral, 1, "page", "itemsize")
+        _require(self, numbers.Integral, 0, "tlb_entries")
+        _require(self, numbers.Real, 0, "l1_hit", "l2_hit", "mem", "tlb_miss")
 
 
 def ultrasparc_like() -> MachineModel:

@@ -24,12 +24,13 @@ up to the cap of the same ``(line, n_sets)`` family by a suffix sum,
 
 :meth:`ReuseProfile.query` then derives exact :class:`MemoryStats` for
 any machine in the family within the caps, with O(histogram) work — no
-per-config replay.  :func:`build_profile` caps wide enough for the
-fig6ms associativity/TLB grid; :func:`profile_at_machine_caps` caps at
-one machine's own associativities (one L2 pass), which is how
-:func:`repro.memsim.hierarchy.simulate_hierarchy` prices a single
-machine.  Configs that change a level's line size or set count (a
-different *family*) need a fresh profile.
+per-config replay.  :func:`build_profile` caps at exactly what the
+machines it is given ask for: one machine's own associativities and TLB
+size (one L2 pass, how
+:func:`repro.memsim.hierarchy.simulate_hierarchy` prices a machine), or
+a whole associativity/TLB grid's union (fig6ms).  Configs that change a
+level's line size or set count (a different *family*) need a fresh
+profile.
 
 Histograms are int64; profiles persist as ``.npz`` in the
 :class:`~repro.memsim.store.TraceStore`, which keeps no trace.
@@ -38,29 +39,16 @@ Histograms are int64; profiles persist as ``.npz`` in the
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.memsim.engines import set_stack_distances, stack_distances
 from repro.memsim.hierarchy import MemoryStats
-from repro.memsim.machine import MachineModel
+from repro.memsim.machine import CacheGeometry, MachineModel
 
-__all__ = [
-    "CANONICAL_ASSOCS",
-    "TLB_CAP",
-    "ConfigFamily",
-    "ReuseProfile",
-    "build_profile",
-    "profile_at_machine_caps",
-]
-
-#: L1 associativities every profile precomputes L2 histograms for; sweep
-#: grids rarely leave this set, so most queries never force a rebuild.
-CANONICAL_ASSOCS = (1, 2, 4, 8)
-
-#: Smallest TLB-entry cap of a :func:`build_profile` histogram.
-TLB_CAP = 64
+__all__ = ["ConfigFamily", "ReuseProfile", "build_profile"]
 
 #: Bump to invalidate persisted profile artifacts (npz schema).
 _PROFILE_VERSION = 2
@@ -122,6 +110,24 @@ class ReuseProfile:
             and machine.tlb_entries < self.tlb_hist.size
         )
 
+    def reach(self) -> list[MachineModel]:
+        """The widest family members this profile prices, one per L1
+        associativity: a build for them (and more) never prices less."""
+        f = self.family
+        l2_assoc = next(iter(self.l2.values())).size - 1
+        return [
+            MachineModel(
+                name=f"reach-l1w{assoc}",
+                l1=CacheGeometry(f.l1_line * f.l1_sets * assoc, f.l1_line, assoc),
+                l2=CacheGeometry(
+                    f.l2_line * f.l2_sets * l2_assoc, f.l2_line, l2_assoc
+                ),
+                tlb_entries=self.tlb_hist.size - 1,
+                page=f.page,
+            )
+            for assoc in self.l2
+        ]
+
     def query(self, machine: MachineModel, include_tlb: bool = True) -> MemoryStats:
         """Exact :class:`MemoryStats` of the profiled stream on
         ``machine`` — bit-identical to the :class:`LRUCache` oracle."""
@@ -181,73 +187,45 @@ class ReuseProfile:
             )
 
 
-def _build(
-    addresses: np.ndarray,
-    family: ConfigFamily,
-    assocs: list[int],
-    l1_cap: int,
-    l2_cap: int,
-    tlb_cap: int,
-) -> ReuseProfile:
-    """Profile of ``family`` with L2 histograms for ``assocs`` (each at
-    most ``l1_cap``), at the given caps."""
-    l1_sd = set_stack_distances(addresses // family.l1_line, family.l1_sets, l1_cap)
-    tlb_sd = stack_distances(addresses // family.page, tlb_cap)
-    l2_lines = addresses // family.l2_line
-    l2 = {
-        assoc: _histogram(
-            set_stack_distances(l2_lines[l1_sd >= assoc], family.l2_sets, l2_cap),
-            l2_cap,
-        )
-        for assoc in assocs
-    }
-    return ReuseProfile(
-        family,
-        int(addresses.size),
-        _histogram(l1_sd, l1_cap),
-        _histogram(tlb_sd, tlb_cap),
-        l2,
-    )
-
-
 def build_profile(
-    addresses: np.ndarray,
-    machine: MachineModel,
-    extra_assocs: tuple[int, ...] | set[int] = (),
+    addresses: np.ndarray, machines: Sequence[MachineModel]
 ) -> ReuseProfile:
     """One vectorized pass over a byte-address trace producing the
-    reuse-distance profile of ``machine``'s config family.
+    reuse-distance profile that prices every machine in ``machines``.
 
-    L2 histograms are built for :data:`CANONICAL_ASSOCS` plus the
-    machine's own L1 associativity plus ``extra_assocs``.  L1 and L2
-    distances are capped at the largest of those and the machine's L2
-    associativity, the TLB at ``max(TLB_CAP, machine.tlb_entries)``.
+    The machines must share one config family.  L2 histograms are built
+    for exactly their L1 associativities; L1 distances are capped at the
+    largest of those, L2 distances at the largest L2 associativity, TLB
+    distances at the largest TLB size (0 prices no TLB).
     """
+    families = {ConfigFamily.of(m) for m in machines}
+    if len(families) != 1:
+        raise ValueError(
+            f"a profile prices machines of one config family, got {len(families)}"
+        )
+    (family,) = families
     addresses = np.asarray(addresses, dtype=np.int64)
-    assocs = sorted({*CANONICAL_ASSOCS, machine.l1.assoc, *extra_assocs})
-    cap = max(assocs[-1], machine.l2.assoc)
+    assocs = sorted({m.l1.assoc for m in machines})
+    l2_cap = max(m.l2.assoc for m in machines)
+    tlb_cap = max(m.tlb_entries for m in machines)
     with obs.span("multiconfig.build", accesses=addresses.size, assocs=len(assocs)):
         obs.add("multiconfig.profile_builds")
-        return _build(
-            addresses,
-            ConfigFamily.of(machine),
-            assocs,
-            cap,
-            cap,
-            max(TLB_CAP, machine.tlb_entries),
+        l1_sd = set_stack_distances(
+            addresses // family.l1_line, family.l1_sets, assocs[-1]
         )
-
-
-def profile_at_machine_caps(
-    addresses: np.ndarray, machine: MachineModel
-) -> ReuseProfile:
-    """The profile of one machine only: distances capped at its own
-    associativities and TLB size, one L2 pass."""
-    return _build(
-        np.asarray(addresses, dtype=np.int64),
-        ConfigFamily.of(machine),
-        [machine.l1.assoc],
-        machine.l1.assoc,
-        machine.l2.assoc,
-        machine.tlb_entries,
-    )
+        tlb_sd = stack_distances(addresses // family.page, tlb_cap)
+        l2_lines = addresses // family.l2_line
+        l2 = {
+            assoc: _histogram(
+                set_stack_distances(l2_lines[l1_sd >= assoc], family.l2_sets, l2_cap),
+                l2_cap,
+            )
+            for assoc in assocs
+        }
+        return ReuseProfile(
+            family,
+            int(addresses.size),
+            _histogram(l1_sd, assocs[-1]),
+            _histogram(tlb_sd, tlb_cap),
+            l2,
+        )

@@ -10,7 +10,11 @@ fields that affect expansion (L1 line size, page size, item size) and
 the machine's config family, so it prices every machine model of the
 family within its caps.  Every price (:meth:`TraceStore.stats`) is a
 query of that profile: a few histogram suffix sums, cheap enough that
-no priced result is stored.
+no priced result is stored.  A profile is built at the caps of the
+machines asked for together (one direct-mapped machine: one cheap
+pass; a fig6ms grid: its union); a later machine beyond them rebuilds
+it at the stored caps widened by the new request, so a rebuild never
+narrows what a profile prices.
 
 The expanded address trace itself is never persisted: a profile miss
 rebuilds it (:meth:`TraceStore.trace`), profiles it and drops it.
@@ -40,6 +44,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +68,6 @@ from repro.memsim.trace import expand_trace, trace_multiply  # noqa: F401
 __all__ = [
     "TraceStore",
     "default_store",
-    "trace_address",
     "cached_multiply_stats",
     "cached_synthetic_stats",
 ]
@@ -209,20 +213,23 @@ class TraceStore:
             return np.asarray(build(), dtype=np.int64)
 
     def profile(
-        self, fields: dict, machine: MachineModel, build_trace
+        self, fields: dict, machines: Sequence[MachineModel], build_trace
     ) -> ReuseProfile:
-        """Reuse-distance profile of the trace behind ``fields``, for
-        ``machine``'s config family, memoized in memory and on disk.
+        """Reuse-distance profile of the trace behind ``fields`` that
+        prices every machine in ``machines``, memoized in memory and on
+        disk.
 
-        The key covers only the trace identity and the family — every
+        The machines must share one config family and item size.  The
+        key covers only the trace identity and the family — every
         machine model differing in capacity, associativity or cycle
         costs answers from the same artifact.  A miss rebuilds the
-        trace with ``build_trace``.  A persisted profile that cannot
-        price the machine (its L1 associativity is missing, or an
-        associativity or TLB size exceeds the profile's caps) counts as
-        a miss and is rebuilt with the union of L1 associativities.
+        trace with ``build_trace`` and profiles it at the machines'
+        caps.  A stored profile that cannot price every machine (an L1
+        associativity is missing, or an associativity or TLB size
+        exceeds its caps) counts as a miss and is rebuilt at its own
+        caps widened by the request.
         """
-        key = _profile_key(fields, machine)
+        key = _profile_key(fields, machines[0])
         prof = self._profiles.get(key)
         if prof is None and self._path(key).exists():
             try:
@@ -230,14 +237,13 @@ class TraceStore:
                     prof = ReuseProfile.load(fh)
             except _DAMAGED:
                 prof = None  # corrupt/partial file: rebuild below
-        if prof is not None and prof.supports(machine):
+        if prof is not None and all(map(prof.supports, machines)):
             self._touch(key, hit=True)
             self._remember_profile(key, prof)
             return prof
         self._touch(key, hit=False)
         addrs = self.trace(fields, build_trace)
-        extra = tuple(prof.l2) if prof is not None else ()
-        prof = build_profile(addrs, machine, extra_assocs=extra)
+        prof = build_profile(addrs, [*machines, *(prof.reach() if prof else ())])
 
         def _save(tmp: Path) -> None:
             with open(tmp, "wb") as fh:
@@ -256,23 +262,24 @@ class TraceStore:
     def stats(
         self,
         fields: dict,
-        machine: MachineModel,
+        machines: Sequence[MachineModel],
         include_tlb: bool,
         build_trace,
-    ) -> MemoryStats:
-        """Simulated :class:`MemoryStats` for ``fields`` on ``machine``.
+    ) -> list[MemoryStats]:
+        """Simulated :class:`MemoryStats` for ``fields``, one per machine.
 
         Every price is a query of the trace's reuse profile
         (:meth:`profile`): a few histogram suffix sums, bit-identical to
         :func:`~repro.memsim.hierarchy.simulate_hierarchy` on the
         expanded trace (property-tested against the :class:`LRUCache`
-        oracle).  So a second machine model in the same config family,
-        or a warm re-run, costs only the query; the result is not stored.
+        oracle).  So every machine after the first, or a warm re-run,
+        costs only the query; the result is not stored.
         """
-        prof = self.profile(fields, machine, build_trace)
-        st = prof.query(machine, include_tlb=include_tlb)
-        st.publish()
-        return st
+        prof = self.profile(fields, machines, build_trace)
+        out = [prof.query(m, include_tlb=include_tlb) for m in machines]
+        for st in out:
+            st.publish()
+        return out
 
 
 _DEFAULT: TraceStore | None = None
@@ -320,53 +327,26 @@ def _multiply_builder(algorithm, layout, n, tile, machine, mode, depth):
     return build
 
 
-def trace_address(
-    algorithm: str,
-    layout: str,
-    n: int,
-    tile: int,
-    machine: MachineModel,
-    *,
-    mode: str = "accumulate",
-    depth: int | None = None,
-) -> str:
-    """Content address of one multiply's expanded trace (an identity,
-    not a store file: traces are never persisted).
-
-    Sweep drivers group points by this key: two points share it iff
-    they simulate the *same* address stream (machine pricing fields do
-    not enter), so scheduling a group onto one worker lets every member
-    after the first answer from the warm reuse-distance profile.
-    """
-    return TraceStore.key_of(
-        {
-            "kind": "trace",
-            "v": _STORE_VERSION,
-            "fields": _multiply_fields(algorithm, layout, n, tile, mode, depth),
-            "expand": _expansion_fingerprint(machine),
-        }
-    )
-
-
 def cached_multiply_stats(
     algorithm: str,
     layout: str,
     n: int,
     tile: int,
-    machine: MachineModel,
+    machines: Sequence[MachineModel],
     *,
     mode: str = "accumulate",
     depth: int | None = None,
     include_tlb: bool = True,
     store: TraceStore | None = None,
-) -> MemoryStats:
-    """Memoized hierarchy simulation of one traced multiply."""
+) -> list[MemoryStats]:
+    """Memoized hierarchy simulation of one traced multiply, one
+    :class:`MemoryStats` per machine (one profile prices them all)."""
     store = store or default_store()
     return store.stats(
         _multiply_fields(algorithm, layout, n, tile, mode, depth),
-        machine,
+        machines,
         include_tlb,
-        _multiply_builder(algorithm, layout, n, tile, machine, mode, depth),
+        _multiply_builder(algorithm, layout, n, tile, machines[0], mode, depth),
     )
 
 
@@ -391,13 +371,14 @@ def _synthetic_fields(source: str, params: dict) -> dict:
 
 def cached_synthetic_stats(
     source: str,
-    machine: MachineModel,
+    machines: Sequence[MachineModel],
     *,
     include_tlb: bool = True,
     store: TraceStore | None = None,
     **params,
-) -> MemoryStats:
-    """Memoized hierarchy simulation of a synthetic event source.
+) -> list[MemoryStats]:
+    """Memoized hierarchy simulation of a synthetic event source, one
+    :class:`MemoryStats` per machine.
 
     ``source`` names a generator in :mod:`repro.memsim.synthetic`
     (``dense_standard``, ``dense_strassen``, ``blocked_canonical``);
@@ -405,5 +386,5 @@ def cached_synthetic_stats(
     """
     store = store or default_store()
     fields = _synthetic_fields(source, params)
-    build = _synthetic_builder(source, machine, params)
-    return store.stats(fields, machine, include_tlb, build)
+    build = _synthetic_builder(source, machines[0], params)
+    return store.stats(fields, machines, include_tlb, build)

@@ -96,7 +96,8 @@ def _apply_window(
 ) -> dict:
     """Repeat-sample reduction: fold the last ``window - 1`` history
     records of ``stream`` into the candidate, keeping the best sample
-    per key (min-of-k for lower-better, max-of-k for higher-better)."""
+    per key (min-of-k for lower-better, max-of-k for higher-better, the
+    candidate's own for keys with no direction)."""
     if window <= 1:
         return candidate
     from repro import knobs

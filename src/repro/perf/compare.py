@@ -3,7 +3,10 @@
 Aligns two runs (typically candidate-vs-committed-baseline) by flattened
 metric key, computes deltas, and classifies each key as ``improved`` /
 ``unchanged`` / ``regressed`` (plus ``added`` / ``removed`` for keys one
-side never measured).  Two mechanisms keep the classification honest:
+side never measured).  A key with no budget and no direction that its
+name implies (a time, a rate or a speedup) — a hit count, say — is only
+``changed`` or ``unchanged``: nothing says which way is better.  Two
+mechanisms keep the classification honest:
 
 * **Noise-aware tolerance bands.**  Benchmark numbers come from
   best-of-k timing (``perf_smoke`` records min-of-3), but run-to-run
@@ -84,13 +87,14 @@ def noise_band(samples: list[float]) -> float:
     return max(REL_FLOOR, MAD_K * 1.4826 * mad / abs(med))
 
 
-def best_of(values: list[float], direction: str) -> float:
+def best_of(values: list[float], direction: str | None) -> float:
     """Repeat-sample reduction: the *best* of a window of samples.
 
     ``lower_better`` keys take the min (fastest observed run),
     ``higher_better`` the max; ``exact`` keys must all agree and any
     disagreement surfaces by returning the last sample (the comparison
-    will then flag it against the baseline).
+    will then flag it against the baseline); keys with no direction
+    keep the last sample too, the candidate's.
     """
     if not values:
         raise ValueError("best_of needs at least one sample")
@@ -139,6 +143,13 @@ def _classify_key(
         entry["over_budget"] = False
         entry["gated"] = False
         return entry
+    if direction is None:
+        move = _bad_relative_move(base, cand, "lower_better")
+        entry["class"] = "unchanged" if abs(move) <= band else "changed"
+        entry["rel"] = move if base != 0.0 else None
+        entry["over_budget"] = False
+        entry["gated"] = False
+        return entry
     bad = _bad_relative_move(base, cand, direction)
     if abs(bad) <= band:
         entry["class"] = "unchanged"
@@ -156,8 +167,10 @@ def _classify_key(
     return entry
 
 
-def _default_direction(key: str) -> str:
-    """Heuristic direction for keys without a declared budget."""
+def _default_direction(key: str) -> str | None:
+    """Direction of a key without a declared budget, read from its name:
+    times are lower-better, rates and speedups higher-better, and
+    anything else has none."""
     leaf = key.rsplit(".", 1)[-1]
     if leaf.endswith("_seconds") or leaf == "seconds":
         return "lower_better"
@@ -167,7 +180,7 @@ def _default_direction(key: str) -> str:
         or leaf.startswith("speedup")
     ):
         return "higher_better"
-    return "lower_better"
+    return None
 
 
 def compare_records(
@@ -196,8 +209,8 @@ def compare_records(
 
     keys: dict[str, dict] = {}
     over_budget: list[str] = []
-    counts = {"improved": 0, "unchanged": 0, "regressed": 0, "skipped": 0,
-              "added": 0, "removed": 0}
+    counts = {"improved": 0, "unchanged": 0, "changed": 0, "regressed": 0,
+              "skipped": 0, "added": 0, "removed": 0}
     for key in sorted(set(base_metrics) | set(cand_metrics)):
         if key not in cand_metrics:
             keys[key] = {"baseline": base_metrics[key], "candidate": None,
@@ -276,8 +289,8 @@ def compare_spans(base: dict, cand: dict) -> dict[str, dict]:
 # Renderers
 # ---------------------------------------------------------------------------
 
-_CLASS_ORDER = {"regressed": 0, "added": 1, "removed": 2, "improved": 3,
-                "unchanged": 4, "skipped": 5}
+_CLASS_ORDER = {"regressed": 0, "added": 1, "removed": 2, "changed": 3,
+                "improved": 4, "unchanged": 5, "skipped": 6}
 
 
 def _fmt(value: float | None) -> str:
@@ -325,7 +338,8 @@ def render_comparison(comparison: dict, *, limit: int = 0) -> str:
     lines.append("")
     lines.append(
         f"improved {s['improved']} / unchanged {s['unchanged']} / "
-        f"regressed {s['regressed']} / skipped {s['skipped']} / "
+        f"changed {s['changed']} / regressed {s['regressed']} / "
+        f"skipped {s['skipped']} / "
         f"added {s['added']} / removed {s['removed']}"
     )
     for note in comparison.get("notes", []):

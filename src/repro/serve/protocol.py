@@ -65,6 +65,7 @@ from repro.memsim.machine import (
 )
 
 __all__ = [
+    "MAX_WAYS",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SweepRequest",
@@ -83,6 +84,24 @@ PROTOCOL_VERSION = 2
 
 class ProtocolError(ValueError):
     """A malformed or unserviceable sweep request (HTTP 400)."""
+
+
+#: Largest associativity or TLB size a request may name.  A reuse
+#: profile keeps one int64 histogram bin per way or entry (and its
+#: engine pass deepens with them), so an unbounded value would let one
+#: request make the service allocate without limit.
+MAX_WAYS = 1024
+
+#: fig6ms params that list associativities or TLB sizes.
+_WAY_PARAMS = ("l1_assocs", "l2_assocs", "tlb_entries")
+
+
+def _check_ways(name: str, values: Sequence[int]) -> None:
+    if max(values) > MAX_WAYS:
+        raise ProtocolError(
+            f"{name} must be at most {MAX_WAYS} (one histogram bin per way "
+            f"or entry)"
+        )
 
 
 # -- machine specs -----------------------------------------------------
@@ -120,9 +139,14 @@ def resolve_machine(spec: Any) -> MachineModel:
         return scaled(factor)
     if isinstance(spec, dict):
         try:
-            return machine_from_dict(spec)
+            machine = machine_from_dict(spec)
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"bad machine field dict: {exc}") from None
+        _check_ways(
+            "machine associativities and tlb_entries",
+            (machine.l1.assoc, machine.l2.assoc, machine.tlb_entries),
+        )
+        return machine
     raise ProtocolError(
         f"machine spec must be null, a name, {{'scaled': k}}, or a field "
         f"dict; got {type(spec).__name__}"
@@ -262,6 +286,8 @@ def _canonical(figure: Figure, params: dict) -> dict:
         value = _COERCERS[p.kind](params, p.name, p.default)
         if p.choices:
             _check_names(p.name, value, p.choices)
+        if p.name in _WAY_PARAMS:
+            _check_ways(f"param {p.name!r}", value)
         canonical[p.name] = value
     return canonical
 
@@ -434,6 +460,6 @@ def fault_point(
             os.kill(os.getpid(), signal.SIGKILL)
     from repro.memsim.store import cached_multiply_stats
 
-    stats = cached_multiply_stats("standard", "LZ", n, tile, scaled(8))
+    (stats,) = cached_multiply_stats("standard", "LZ", n, tile, [scaled(8)])
     return {"index": index, "cycles": stats.cycles,
             "l1_miss_rate": stats.l1_miss_rate}

@@ -161,14 +161,17 @@ def _no_trace(self, fields, build):
     raise AssertionError(f"the warm store rebuilt the trace of {fields}")
 
 
-def _simulate(self, fields, machine, include_tlb, build_trace):
+def _simulate(self, fields, machines, include_tlb, build_trace):
     # The pricing oracle: the freshly built trace on simulate_hierarchy,
-    # capped at the machine's own associativities and TLB size.
-    st = simulate_hierarchy(
-        self.trace(fields, build_trace), machine, include_tlb=include_tlb
-    )
-    st.publish()
-    return st
+    # capped at each machine's own associativities and TLB size.
+    addresses = self.trace(fields, build_trace)
+    out = [
+        simulate_hierarchy(addresses, m, include_tlb=include_tlb)
+        for m in machines
+    ]
+    for st in out:
+        st.publish()
+    return out
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

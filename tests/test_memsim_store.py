@@ -1,11 +1,13 @@
-"""On-disk reuse-profile store: roundtrips, counters, keys, knobs."""
+"""On-disk reuse-profile store: roundtrips, counters, keys, caps, knobs."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.memsim import store as store_mod
 from repro.memsim.hierarchy import simulate_hierarchy
-from repro.memsim.machine import modern_like, scaled, ultrasparc_like
+from repro.memsim.machine import assoc_scaled, modern_like, scaled, ultrasparc_like
 from repro.memsim.multiconfig import ReuseProfile
 from repro.memsim.store import (
     TraceStore,
@@ -58,24 +60,24 @@ def _same_profile(a: ReuseProfile, b: ReuseProfile) -> bool:
 
 class TestRoundtrip:
     def test_profile_roundtrip_and_counters(self, store):
-        stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        (stats,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         assert store.counters() == {"profile_hits": 0, "profile_misses": 1}
-        built = store.profile(FIELDS, MACH, _no_build)
+        built = store.profile(FIELDS, [MACH], _no_build)
         fresh = TraceStore(root=store.root)
-        loaded = fresh.profile(FIELDS, MACH, _no_build)
+        loaded = fresh.profile(FIELDS, [MACH], _no_build)
         assert _same_profile(loaded, built)
         assert loaded.l1_hist.dtype == np.int64
         assert loaded.query(MACH) == stats
         assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
 
     def test_cold_stats_leave_no_trace_file(self, store):
-        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         files = [p for p in store.root.rglob("*") if p.is_file()]
         assert [p.suffix for p in files] == [".npz"]
 
     def test_stats_roundtrip(self, store, builds):
-        s1 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        s2 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        (s1,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
+        (s2,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         assert s1 == s2
         # The second call prices from the warm profile: no trace build.
         assert store.profile_hits == 1 and store.profile_misses == 1
@@ -83,8 +85,8 @@ class TestRoundtrip:
         # A fresh handle on the same root prices from the stored profile.
         fresh = TraceStore(root=store.root)
         assert cached_multiply_stats(
-            "standard", "LZ", 32, 8, MACH, store=fresh
-        ) == s1
+            "standard", "LZ", 32, 8, [MACH], store=fresh
+        ) == [s1]
         assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
 
     def test_profile_memo_evicts_least_recently_used(self, store, monkeypatch):
@@ -99,25 +101,25 @@ class TestRoundtrip:
             return np.arange(64, dtype=np.int64) * MACH.l1.line
 
         for i in range(4):
-            store.profile(fields(i), MACH, build)
-        store.profile(fields(0), MACH, _no_build)  # re-touch the oldest
-        store.profile(fields(4), MACH, build)  # evicts one profile
+            store.profile(fields(i), [MACH], build)
+        store.profile(fields(0), [MACH], _no_build)  # re-touch the oldest
+        store.profile(fields(4), [MACH], build)  # evicts one profile
         for npz in store.root.rglob("*.npz"):
             npz.unlink()  # only the in-memory memo can answer now
-        store.profile(fields(0), MACH, _no_build)
+        store.profile(fields(0), [MACH], _no_build)
         misses = store.profile_misses
-        store.profile(fields(1), MACH, build)
+        store.profile(fields(1), [MACH], build)
         assert store.profile_misses == misses + 1
 
     def test_stats_match_direct_simulation(self, store):
         table, sizes = synthesize_multiply("standard", "LZ", 32, 8)
         addrs = expand_table(table, MACH, sizes)
-        cached = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        (cached,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         assert cached == simulate_hierarchy(addrs, MACH)
 
     def test_synthetic_roundtrip(self, store):
-        s1 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
-        s2 = cached_synthetic_stats("dense_standard", MACH, n=24, tile=8, store=store)
+        (s1,) = cached_synthetic_stats("dense_standard", [MACH], n=24, tile=8, store=store)
+        (s2,) = cached_synthetic_stats("dense_standard", [MACH], n=24, tile=8, store=store)
         assert s1 == s2 and store.profile_hits == 1
         events = dense_standard_events(n=24, tile=8)
         addrs = expand_table(EventTable.from_events(events), MACH)
@@ -125,15 +127,72 @@ class TestRoundtrip:
 
     def test_unknown_synthetic_source(self, store):
         with pytest.raises(KeyError):
-            cached_synthetic_stats("nope", MACH, n=8, tile=4, store=store)
+            cached_synthetic_stats("nope", [MACH], n=8, tile=4, store=store)
+
+
+def _assoc_fields_build(machine):
+    fields = store_mod._multiply_fields("standard", "LZ", 32, 8, "accumulate", None)
+    build = store_mod._multiply_builder(
+        "standard", "LZ", 32, 8, machine, "accumulate", None
+    )
+    return fields, build
+
+
+class TestCaps:
+    """A profile is built at the caps asked for and widened, never
+    narrowed, when a later request needs more."""
+
+    def test_wider_stored_profile_is_a_hit(self, store, builds):
+        grid = [assoc_scaled(a, 4, 32) for a in (1, 2, 4, 8)]
+        fields, build = _assoc_fields_build(grid[0])
+        store.profile(fields, grid, build)
+        fresh = TraceStore(root=store.root)
+        narrow = [assoc_scaled(2, 1, 8)]
+        prof = fresh.profile(fields, narrow, _no_build)
+        assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
+        assert sorted(prof.l2) == [1, 2, 4, 8]
+        assert len(builds) == 1
+
+    def test_narrow_then_wide_rebuilds_once(self, store, builds):
+        one_way = assoc_scaled(1, 1, 16)
+        wide = assoc_scaled(8, 1, 128)
+        fields, build = _assoc_fields_build(one_way)
+        store.profile(fields, [one_way], build)
+        prof = store.profile(fields, [wide], build)
+        assert store.counters() == {"profile_hits": 0, "profile_misses": 2}
+        assert len(builds) == 2
+        # The rebuild kept the 1-way machine's histogram: both machines,
+        # and any family member within the widened caps, price warm.
+        assert sorted(prof.l2) == [1, 8]
+        fresh = TraceStore(root=store.root)
+        assert fresh.profile(fields, [one_way, wide], _no_build) is not None
+        assert fresh.counters() == {"profile_hits": 1, "profile_misses": 0}
+        table, sizes = synthesize_multiply("standard", "LZ", 32, 8)
+        addrs = expand_table(table, one_way, sizes)
+        assert fresh.stats(fields, [one_way, wide], True, _no_build) == [
+            simulate_hierarchy(addrs, one_way),
+            simulate_hierarchy(addrs, wide),
+        ]
+        assert fresh.counters()["profile_misses"] == 0
+
+    def test_zero_entry_tlb_prices_no_tlb_misses(self, store):
+        no_tlb = dataclasses.replace(MACH, tlb_entries=0)
+        (st,) = cached_multiply_stats("standard", "LZ", 32, 8, [no_tlb], store=store)
+        (with_tlb,) = cached_multiply_stats(
+            "standard", "LZ", 32, 8, [MACH], store=store
+        )
+        assert st.tlb_misses == 0 and with_tlb.tlb_misses > 0
+        assert (st.accesses, st.l1_misses, st.l2_misses) == (
+            with_tlb.accesses, with_tlb.l1_misses, with_tlb.l2_misses
+        )
 
 
 class TestKeys:
     def test_distinct_parameters_distinct_entries(self, store, builds):
-        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        cached_multiply_stats("standard", "LZ", 32, 4, MACH, store=store)
-        cached_multiply_stats("standard", "LU", 32, 8, MACH, store=store)
-        cached_multiply_stats("strassen", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
+        cached_multiply_stats("standard", "LZ", 32, 4, [MACH], store=store)
+        cached_multiply_stats("standard", "LU", 32, 8, [MACH], store=store)
+        cached_multiply_stats("strassen", "LZ", 32, 8, [MACH], store=store)
         assert store.profile_misses == 4 and store.profile_hits == 0
         assert len(builds) == 4
         assert len(list(store.root.rglob("*.npz"))) == 4
@@ -141,12 +200,10 @@ class TestKeys:
     def test_machine_pricing_does_not_split_traces(self, store, builds):
         # Same expansion geometry, different cycle costs: one trace
         # build, one profile file, two prices.
-        import dataclasses
-
         m1 = MACH
         m2 = dataclasses.replace(MACH, mem=500.0)
-        s1 = cached_multiply_stats("standard", "LZ", 32, 8, m1, store=store)
-        s2 = cached_multiply_stats("standard", "LZ", 32, 8, m2, store=store)
+        (s1,) = cached_multiply_stats("standard", "LZ", 32, 8, [m1], store=store)
+        (s2,) = cached_multiply_stats("standard", "LZ", 32, 8, [m2], store=store)
         assert builds == [FIELDS]
         # The second machine answers from the warm reuse-distance
         # profile without rebuilding the trace.
@@ -157,16 +214,16 @@ class TestKeys:
     def test_machine_geometry_splits_stats(self, store):
         # Another config family (line size, set count) needs its own
         # profile: a second build and a second .npz.
-        s1 = cached_multiply_stats("standard", "LZ", 32, 8, ultrasparc_like(), store=store)
-        s2 = cached_multiply_stats("standard", "LZ", 32, 8, modern_like(), store=store)
+        (s1,) = cached_multiply_stats("standard", "LZ", 32, 8, [ultrasparc_like()], store=store)
+        (s2,) = cached_multiply_stats("standard", "LZ", 32, 8, [modern_like()], store=store)
         assert store.profile_misses == 2 and store.profile_hits == 0
         assert len(list(store.root.rglob("*.npz"))) == 2
         assert s1 != s2
 
     def test_include_tlb_splits_stats(self, store, builds):
-        s1 = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
-        s2 = cached_multiply_stats(
-            "standard", "LZ", 32, 8, MACH, include_tlb=False, store=store
+        (s1,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
+        (s2,) = cached_multiply_stats(
+            "standard", "LZ", 32, 8, [MACH], include_tlb=False, store=store
         )
         # One profile prices both: the flag only drops the TLB term.
         assert builds == [FIELDS]
@@ -185,11 +242,11 @@ class TestKeys:
 
 class TestRobustness:
     def test_corrupt_profile_file_is_rebuilt(self, store):
-        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         (npz,) = list(store.root.rglob("*.npz"))
         npz.write_bytes(b"not a numpy file")
         fresh = TraceStore(root=store.root)
-        again = fresh.profile(FIELDS, MACH, BUILD)
+        again = fresh.profile(FIELDS, [MACH], BUILD)
         assert fresh.profile_misses == 1
         with open(npz, "rb") as fh:
             assert _same_profile(again, ReuseProfile.load(fh))
@@ -201,19 +258,21 @@ class TestRobustness:
     )
     def test_damaged_artifact_is_rebuilt(self, tmp_path, damage):
         first = TraceStore(root=tmp_path)
-        stats = cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=first)
-        profile = first.profile(FIELDS, MACH, _no_build)
+        (stats,) = cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=first)
+        profile = first.profile(FIELDS, [MACH], _no_build)
         (path,) = list(tmp_path.rglob("*.npz"))
         path.write_bytes(damage(path.read_bytes()))
         store = TraceStore(root=tmp_path)
-        assert cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store) == stats
-        assert _same_profile(store.profile(FIELDS, MACH, _no_build), profile)
+        assert cached_multiply_stats(
+            "standard", "LZ", 32, 8, [MACH], store=store
+        ) == [stats]
+        assert _same_profile(store.profile(FIELDS, [MACH], _no_build), profile)
         # The damaged profile was rebuilt once, then answered warm.
         assert store.counters() == {"profile_hits": 1, "profile_misses": 1}
         assert path.stat().st_size > 0
 
     def test_reset_counters(self, store):
-        cached_multiply_stats("standard", "LZ", 32, 8, MACH, store=store)
+        cached_multiply_stats("standard", "LZ", 32, 8, [MACH], store=store)
         store.reset_counters()
         assert not any(store.counters().values())
 

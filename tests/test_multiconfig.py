@@ -31,13 +31,7 @@ from repro.memsim.machine import (
     scaled,
     ultrasparc_like,
 )
-from repro.memsim.multiconfig import (
-    CANONICAL_ASSOCS,
-    ConfigFamily,
-    ReuseProfile,
-    build_profile,
-    profile_at_machine_caps,
-)
+from repro.memsim.multiconfig import ConfigFamily, ReuseProfile, build_profile
 
 #: Caps every distance oracle comparison runs at.
 CAPS = (1, 2, 3, 8, 64)
@@ -113,6 +107,11 @@ def family_machine(l1_assoc=1, l2_assoc=1, tlb_entries=16):
         tlb_entries=tlb_entries,
         page=256,
     )
+
+
+#: One build for these prices every family member with an L1 of 1, 2, 4
+#: or 8 ways, at most 8 L2 ways and at most 64 TLB entries.
+GRID = [family_machine(a, 8, 64) for a in (1, 2, 4, 8)]
 
 
 class TestStackDistances:
@@ -215,7 +214,7 @@ class TestProfileVsStreaming:
     @settings(max_examples=50, deadline=None)
     def test_random_traces_any_config(self, words, l1a, l2a, tlb):
         addresses = np.array(words, dtype=np.int64) * 8
-        prof = build_profile(addresses, family_machine())
+        prof = build_profile(addresses, GRID)
         machine = family_machine(l1a, l2a, tlb)
         for include_tlb in (True, False):
             assert_priced_like_oracle(prof, addresses, machine, include_tlb)
@@ -223,7 +222,7 @@ class TestProfileVsStreaming:
     def test_full_family_grid_from_one_build(self):
         rng = np.random.default_rng(11)
         addresses = (rng.integers(0, 1 << 13, 6000) * 8).astype(np.int64)
-        prof = build_profile(addresses, family_machine())
+        prof = build_profile(addresses, GRID)
         for l1a, l2a, tlb in itertools.product(
             (1, 2, 4, 8), (1, 2, 4, 8), (0, 4, 16, 64)
         ):
@@ -238,12 +237,16 @@ class TestProfileVsStreaming:
         rng = np.random.default_rng(13)
         addresses = (rng.integers(0, 1 << 17, 20000) * 8).astype(np.int64)
         machine = factory()
-        assert_priced_like_oracle(build_profile(addresses, machine), addresses, machine)
+        assert_priced_like_oracle(
+            build_profile(addresses, [machine]), addresses, machine
+        )
 
     def test_empty_trace(self):
         machine = family_machine()
         addresses = np.zeros(0, dtype=np.int64)
-        assert_priced_like_oracle(build_profile(addresses, machine), addresses, machine)
+        assert_priced_like_oracle(
+            build_profile(addresses, [machine]), addresses, machine
+        )
 
     def test_single_address_and_same_address(self):
         machine = family_machine()
@@ -251,13 +254,13 @@ class TestProfileVsStreaming:
             np.array([64], dtype=np.int64),
             np.full(100, 4096, dtype=np.int64),
         ):
-            prof = build_profile(addresses, machine)
+            prof = build_profile(addresses, [machine])
             assert_priced_like_oracle(prof, addresses, machine)
 
     def test_assoc_above_distinct_lines_never_misses_warm(self):
         addresses = np.tile(np.arange(4, dtype=np.int64) * 16, 50)
         machine = family_machine(8, 4, 16)  # 8-way: 4 lines always fit
-        prof = build_profile(addresses, machine)
+        prof = build_profile(addresses, [machine])
         assert_priced_like_oracle(prof, addresses, machine)
         assert prof.query(machine).l1_misses == 4  # cold misses only
 
@@ -265,7 +268,7 @@ class TestProfileVsStreaming:
         rng = np.random.default_rng(29)
         addresses = (rng.integers(0, 1 << 12, 3000) * 8).astype(np.int64)
         machine = family_machine(2, 4, 3)
-        prof = profile_at_machine_caps(addresses, machine)
+        prof = build_profile(addresses, [machine])
         assert list(prof.l2) == [2]
         assert prof.l1_hist.size == 3 and prof.l2[2].size == 5
         assert prof.tlb_hist.size == 4
@@ -278,7 +281,7 @@ class TestProfileVsStreaming:
 class TestProfileObject:
     def test_supports_rejects_other_family(self):
         machine = family_machine()
-        prof = build_profile(np.arange(100, dtype=np.int64) * 8, machine)
+        prof = build_profile(np.arange(100, dtype=np.int64) * 8, [machine])
         other = ultrasparc_like()
         assert ConfigFamily.of(other) != prof.family
         assert not prof.supports(other)
@@ -286,29 +289,52 @@ class TestProfileObject:
             prof.query(other)
 
     def test_supports_rejects_missing_assoc(self):
-        machine = family_machine()
-        prof = build_profile(np.arange(100, dtype=np.int64) * 8, machine)
+        prof = build_profile(np.arange(100, dtype=np.int64) * 8, GRID)
         odd = family_machine(l1_assoc=3)
         assert 3 not in prof.l2 and not prof.supports(odd)
 
     def test_caps_bound_the_supported_grid(self):
-        prof = build_profile(np.arange(100, dtype=np.int64) * 8, family_machine())
-        assert prof.l1_hist.size == max(CANONICAL_ASSOCS) + 1
+        prof = build_profile(np.arange(100, dtype=np.int64) * 8, GRID)
+        assert prof.l1_hist.size == 9
         assert prof.tlb_hist.size == 65
         assert not prof.supports(family_machine(l2_assoc=16))
         assert not prof.supports(family_machine(tlb_entries=128))
         wide = build_profile(
             np.arange(100, dtype=np.int64) * 8,
-            family_machine(l2_assoc=16, tlb_entries=128),
-            extra_assocs=(16,),
+            [*GRID, family_machine(16, 16, 128)],
         )
         assert wide.supports(family_machine(16, 16, 128))
+        assert all(map(wide.supports, GRID))
+
+    def test_machines_must_share_a_family(self):
+        with pytest.raises(ValueError, match="one config family"):
+            build_profile(
+                np.arange(100, dtype=np.int64) * 8,
+                [family_machine(), ultrasparc_like()],
+            )
+
+    def test_reach_rebuilds_the_same_profile(self):
+        """A build for a profile's :meth:`~ReuseProfile.reach` machines
+        reproduces it bin for bin: the store widens a stored profile
+        through them, and a rebuild never narrows it."""
+        rng = np.random.default_rng(37)
+        addresses = (rng.integers(0, 1 << 12, 3000) * 8).astype(np.int64)
+        prof = build_profile(
+            addresses, [family_machine(2, 4, 16), family_machine(8, 1, 3)]
+        )
+        again = build_profile(addresses, prof.reach())
+        assert again.family == prof.family
+        assert np.array_equal(again.l1_hist, prof.l1_hist)
+        assert np.array_equal(again.tlb_hist, prof.tlb_hist)
+        assert again.l2.keys() == prof.l2.keys() == {2, 8}
+        assert all(np.array_equal(again.l2[a], prof.l2[a]) for a in prof.l2)
 
     def test_npz_roundtrip(self):
         rng = np.random.default_rng(23)
         addresses = (rng.integers(0, 1 << 12, 2000) * 8).astype(np.int64)
-        machine = family_machine(2, 2, 8)
-        prof = build_profile(addresses, machine, extra_assocs=(1, 8))
+        prof = build_profile(
+            addresses, [family_machine(a, 2, 8) for a in (1, 2, 4, 8)]
+        )
         buf = io.BytesIO()
         prof.save(buf)
         buf.seek(0)
@@ -328,6 +354,9 @@ class TestProfileObject:
             ReuseProfile.load(buf)
 
     def test_canonical_assocs_precomputed(self):
-        machine = family_machine()
-        prof = build_profile(np.arange(64, dtype=np.int64) * 8, machine)
-        assert set(CANONICAL_ASSOCS) <= set(prof.l2)
+        """fig6ms's default L1 axis (1, 2, 4, 8): one build holds an L2
+        histogram for exactly the associativities asked for."""
+        machines = [family_machine(a) for a in (1, 2, 4, 8)]
+        prof = build_profile(np.arange(64, dtype=np.int64) * 8, machines)
+        assert sorted(prof.l2) == [1, 2, 4, 8]
+        assert build_profile(np.arange(64) * 8, machines[1:2]).l2.keys() == {2}

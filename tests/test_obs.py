@@ -179,8 +179,8 @@ class TestStatsPublishing:
 
         store = TraceStore(root=tmp_path)
         machine = scaled()
-        cached_synthetic_stats("dense_standard", machine, store=store, n=16, tile=8)
-        cached_synthetic_stats("dense_standard", machine, store=store, n=16, tile=8)
+        cached_synthetic_stats("dense_standard", [machine], store=store, n=16, tile=8)
+        cached_synthetic_stats("dense_standard", [machine], store=store, n=16, tile=8)
         snap = obs.registry().snapshot()
         assert snap["counters"]["memsim.store.profile_misses"] == 1
         assert snap["counters"]["memsim.store.profile_hits"] == 1

@@ -208,55 +208,21 @@ class TestRunSweep:
         run_sweep(GRIDS["fig6sim"], jobs=32, executor_factory=factory)
         assert seen == [len(GRIDS["fig6sim"])]
 
-
-# -- profile-sharing groups --------------------------------------------
-
-class TestGrouping:
-    def test_group_batches_first_seen_order(self):
-        pts = [
-            make_point("fig9", 0, "fig6sim.point", group="b"),
-            make_point("fig9", 1, "fig6sim.point"),
-            make_point("fig9", 2, "fig6sim.point", group="a"),
-            make_point("fig9", 3, "fig6sim.point", group="b"),
-            make_point("fig9", 4, "fig6sim.point"),
-        ]
-        batches = par._group_batches(pts)
-        assert [[p.index for p in b] for b in batches] == [[0, 3], [1], [2], [4]]
-
-    def test_generators_attach_trace_groups(self):
-        # The fig6ms machine axes collapse onto their (algorithm, layout)
-        # row's single trace address.
-        by_group = {}
-        for p in GRIDS["fig6ms"]:
-            assert p.group is not None
-            by_group.setdefault(p.group, []).append(p)
-        assert sorted(len(v) for v in by_group.values()) == [2, 2]
-        assert None not in {p.group for p in GRIDS["fig6sim"]}
-        # fig4 without memsim simulates nothing, so it never groups.
-        ungrouped = fig4_points(
-            n=32, tiles=(4, 8), algorithm="standard", layout="LZ", repeats=1,
-            machine=MACH, include_memsim=False,
-        )
-        assert all(p.group is None for p in ungrouped)
-
-    def test_worker_call_batch_payload_shapes(self, fresh_store, monkeypatch):
-        monkeypatch.setattr(par, "_WORKER_DIR", None)
-        par._pool_init(False, None)
-        batch = [
-            p for p in GRIDS["fig6ms"] if p.group == GRIDS["fig6ms"][0].group
-        ]
-        payloads = par._worker_call_batch(batch)
-        assert [pl["index"] for pl in payloads] == [p.index for p in batch]
-        assert payloads[0]["row"] == run_point(batch[0])
-        # Co-location pays: the second member answers from the warm
-        # profile without rebuilding the trace.
-        assert payloads[1]["store_counters"]["profile_hits"] == 1
-        assert payloads[1]["store_counters"]["profile_misses"] == 0
-
-    def test_grouped_pool_matches_serial(self, fresh_store):
+    def test_fig6ms_pool_matches_serial(self, fresh_store):
         serial = run_sweep(GRIDS["fig6ms"], jobs=1)
         pooled = run_sweep(GRIDS["fig6ms"], jobs=2)
         assert pooled == serial
+
+    def test_fig6ms_point_is_one_trace(self, fresh_store):
+        """A fig6ms point carries its trace's whole machine grid and
+        returns one row per machine from one profile build."""
+        points = GRIDS["fig6ms"]
+        assert [p.kwargs()["layout"] for p in points] == ["LC", "LZ"]
+        machines = points[0].kwargs()["machines"]
+        assert [m.l1.assoc for m in machines] == [1, 2]
+        rows = run_point(points[0])
+        assert [r["l1_assoc"] for r in rows] == [1, 2]
+        assert fresh_store.counters() == {"profile_hits": 0, "profile_misses": 1}
 
 
 # -- worker-side plumbing (exercised in-process) -----------------------

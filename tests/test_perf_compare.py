@@ -76,6 +76,8 @@ class TestNoiseBands:
         assert best_of([3.0, 1.0, 2.0], "lower_better") == 1.0
         assert best_of([3.0, 1.0, 2.0], "higher_better") == 3.0
         assert best_of([3.0, 1.0, 2.0], "exact") == 2.0
+        # No direction: the candidate's own (last) sample.
+        assert best_of([3.0, 1.0, 2.0], None) == 2.0
         with pytest.raises(ValueError):
             best_of([], "lower_better")
 
@@ -137,6 +139,21 @@ class TestCompare:
         assert cmp_["keys"]["trace.expand_seconds"]["class"] == "skipped"
         # structural keys still compare exactly
         assert cmp_["keys"]["trace.accesses"]["class"] == "unchanged"
+
+    def test_undirected_keys_read_changed(self):
+        """A key with no budget whose name implies no direction (a hit
+        count) is changed or unchanged, never regressed or improved."""
+        base = build_record({"trace_cache.profile_hits": 0.0}, source="s")
+        cand = build_record({"trace_cache.profile_hits": 8.0}, source="s")
+        cmp_ = compare_records(base, cand, structural_only=False)
+        entry = cmp_["keys"]["trace_cache.profile_hits"]
+        assert entry["class"] == "changed" and entry["direction"] is None
+        assert not entry["gated"] and cmp_["ok"]
+        assert cmp_["summary"]["changed"] == 1
+        assert cmp_["summary"]["regressed"] == cmp_["summary"]["improved"] == 0
+        same = compare_records(base, base, structural_only=False)
+        assert same["keys"]["trace_cache.profile_hits"]["class"] == "unchanged"
+        assert "changed 1" in render_comparison(cmp_)
 
     def test_added_and_removed_keys_never_gate(self):
         base = build_record({"a.x": 1.0}, source="s")

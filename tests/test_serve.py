@@ -233,6 +233,17 @@ def test_unknown_figure_is_400(server):
     assert "unknown figure" in payload["error"]
 
 
+def _machine_with(level=None, **fields):
+    """The ``{"scaled": 4}`` machine's field dict with some fields of
+    the machine (or of its ``level``, ``"l1"`` or ``"l2"``) replaced."""
+    from repro.memsim.machine import scaled
+    from repro.serve.protocol import machine_to_dict
+
+    spec = machine_to_dict(scaled(4))
+    (spec[level] if level else spec).update(fields)
+    return spec
+
+
 @pytest.mark.parametrize(
     "params, fragment",
     [
@@ -243,12 +254,24 @@ def test_unknown_figure_is_400(server):
         ({"algorithms": ["nope"]}, "unknown algorithms ['nope']"),
         ({"layouts": ["QQ"]}, "unknown layouts ['QQ']"),
         ({"layouts": ["LR"]}, "unknown layouts ['LR']"),
+        ({"machine": _machine_with("l1", line=0)}, "line must be"),
+        ({"machine": _machine_with("l1", assoc=0)}, "assoc must be"),
+        ({"machine": _machine_with(page=0)}, "page must be"),
+        ({"machine": _machine_with(tlb_entries=-1)}, "tlb_entries must be"),
+        ({"machine": _machine_with(tlb_entries=10**9)}, "at most 1024"),
+        (
+            {"machine": _machine_with("l2", assoc=2048, size=64 * 2048)},
+            "at most 1024",
+        ),
+        ({"l1_assocs": [1, 10**6]}, "'l1_assocs' must be at most 1024"),
     ],
 )
 def test_bad_params_are_400(server, params, fragment):
-    code, payload = server.client.sweep("fig6sim", params, jobs=1)
+    figure = "fig6ms" if "l1_assocs" in params else "fig6sim"
+    code, payload = server.client.sweep(figure, params, jobs=1)
     assert code == 400
     assert fragment in payload["error"]
+    assert server.client.healthz()[0] == 200
 
 
 def test_unknown_job_is_404(server):
@@ -352,8 +375,8 @@ def test_sigkilled_worker_is_retried_and_store_survives(tmp_path):
 
         # Rows are correct: every point computed the same deterministic
         # stats an isolated in-process store produces.
-        expected = cached_multiply_stats(
-            "standard", "LZ", 16, 8, scaled(8),
+        (expected,) = cached_multiply_stats(
+            "standard", "LZ", 16, 8, [scaled(8)],
             store=TraceStore(root=tmp_path / "reference"),
         )
         assert len(payload["rows"]) == 3

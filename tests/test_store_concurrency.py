@@ -64,7 +64,7 @@ def _digest(prof: ReuseProfile) -> list:
 
 
 def _expected_digest() -> list:
-    return _digest(build_profile(_expected_array(), MACH))
+    return _digest(build_profile(_expected_array(), [MACH]))
 
 
 def _load(path) -> ReuseProfile:
@@ -86,7 +86,7 @@ def _worker(root, build_log, barrier, out_dir):
         return _expected_array()
 
     barrier.wait()
-    prof = store.profile(FIELDS, MACH, build)
+    prof = store.profile(FIELDS, [MACH], build)
     result = {
         "pid": os.getpid(),
         "counters": store.counters(),
@@ -147,7 +147,7 @@ class TestColdRace:
         assert 1 <= builds <= N
         # The published artifact is valid and byte-stable afterwards.
         store = TraceStore(root=root)
-        prof = store.profile(FIELDS, MACH, lambda: pytest.fail("unexpected rebuild"))
+        prof = store.profile(FIELDS, [MACH], lambda: pytest.fail("unexpected rebuild"))
         assert _digest(prof) == _expected_digest()
         assert store.counters()["profile_hits"] == 1
 
@@ -155,7 +155,7 @@ class TestColdRace:
 class TestWarmStorm:
     def test_concurrent_warm_gets_never_recompute(self, tmp_path):
         root = tmp_path / "store"
-        TraceStore(root=root).profile(FIELDS, MACH, _expected_array)
+        TraceStore(root=root).profile(FIELDS, [MACH], _expected_array)
         results, builds = _run_workers(N, root, tmp_path)
         assert builds == 0
         assert all(r["counters"]["profile_misses"] == 0 for r in results)
@@ -171,7 +171,7 @@ def _crash_mid_write(root):
     final = _profile_path(store)
     final.parent.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
-    build_profile(_expected_array(), MACH).save(buf)
+    build_profile(_expected_array(), [MACH]).save(buf)
     blob = buf.getvalue()
     tmp = final.with_name(f".tmp.{os.getpid()}.{final.name}")
     with open(tmp, "wb") as fh:
