@@ -194,6 +194,22 @@ class RecursiveLayout(Layout):
         """Orientation of quadrant (qi, qj) inside a square of ``orientation``."""
         return int(self.child_table[orientation, qi, qj])
 
+    @functools.cached_property
+    def quadrant_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``[orientation][2 * qi + qj]`` -> ``(rank, child orientation)``.
+
+        Both FSM tables as plain ints, the form the executed views walk
+        once per recursion node; built on first use, not at import.
+        """
+        return tuple(
+            tuple(
+                (self.quadrant_rank(o, qi, qj), self.quadrant_orientation(o, qi, qj))
+                for qi in (0, 1)
+                for qj in (0, 1)
+            )
+            for o in range(self.n_orientations)
+        )
+
 
 @functools.lru_cache(maxsize=None)
 def orientation_permutation(

@@ -11,12 +11,15 @@ spawns in parallel.
 the powers of two whose jointly tileable blocks have the least total
 padded flop volume, ties going to the fewest blocks — and returns a
 :class:`PartitionPlan` whose ``block_products`` enumerates the
-sub-multiplications.
+sub-multiplications.  The search scores every feasible block count, so
+its plans are memoized per ``(m, k, n, TileRange)``: a repeated shape
+gets the same frozen plan object back.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 from repro.bits.util import ceil_div
@@ -95,6 +98,12 @@ class PartitionPlan:
         return out
 
 
+#: Plans kept by :func:`plan_partition`'s memo.  A figure grid or a
+#: benchmark round repeats a handful of shapes; the bound only caps a
+#: long-lived process fed ever new shapes.
+_PLAN_MEMO_SIZE = 256
+
+
 def plan_partition(
     m: int, k: int, n: int, trange: TileRange | None = None
 ) -> PartitionPlan:
@@ -108,8 +117,18 @@ def plan_partition(
     block count, then lexicographically).  Raises
     :class:`~repro.matrix.tile.InfeasibleTiling` only if even unit blocks
     fail, which cannot happen for dims >= 1 and t_min <= dim.
+
+    Memoized per ``(m, k, n, trange)``, with ``None`` and ``TileRange()``
+    sharing one entry: the returned plan is a frozen object shared by
+    every caller asking for that shape.
     """
-    trange = trange or TileRange()
+    return _search_partition(m, k, n, trange or TileRange())
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _search_partition(m: int, k: int, n: int, trange: TileRange) -> PartitionPlan:
+    """The memoized search of :func:`plan_partition`; ``__wrapped__``
+    runs it uncached."""
     candidates = []
     for em, ek, en in itertools.product(range(12), repeat=3):
         candidates.append((1 << em, 1 << ek, 1 << en))

@@ -38,19 +38,18 @@ __all__ = [
 
 
 def views_compatible(*views: MatrixView) -> bool:
-    """True when all views share geometry (shape, tile, and storage family)."""
-    first = views[0]
+    """True when all views share geometry (shape, tile, and storage family).
+
+    One comparison of the views' precomputed ``geometry`` keys: a
+    QuadView's is its region's :class:`~repro.layouts.tiled.TiledLayout`
+    (curve, grid order, tile shape), a DenseView's the tuple
+    ``(rows, cols, t_r, t_c)``, and keys of the two families never
+    compare equal.  Views of one multiply share key objects, so the
+    identity test settles most calls.
+    """
+    key = views[0].geometry
     for v in views[1:]:
-        if type(v) is not type(first):
-            return False
-        if (v.rows, v.cols, v.t_r, v.t_c) != (
-            first.rows,
-            first.cols,
-            first.t_r,
-            first.t_c,
-        ):
-            return False
-        if isinstance(v, QuadView) and v.curve is not first.curve:  # type: ignore[union-attr]
+        if v.geometry is not key and v.geometry != key:
             return False
     return True
 

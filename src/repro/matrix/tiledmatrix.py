@@ -17,12 +17,14 @@ algorithms consume:
   interference misses and false sharing in the paper's measurements.
 
 Both view types expose: ``rows``/``cols`` (padded), ``is_leaf``,
-``quadrant(qi, qj)``, ``leaf_array()`` and ``alloc_like()``.
+``geometry``, ``quadrant(qi, qj)``, ``leaf_array()`` and ``alloc_like()``.
+A recursion builds a view per quadrant of every node, so views are
+``__slots__`` objects whose geometry is computed once, when they are made.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from typing import Union
 
 import numpy as np
@@ -33,6 +35,21 @@ from repro.layouts.tiled import TiledLayout
 
 __all__ = ["TiledMatrix", "QuadView", "DenseMatrix", "DenseView", "MatrixView"]
 
+#: Distinct (curve, grid order, tile shape) families kept by
+#: :func:`_depth_layouts`; one multiply touches one to three.
+_LAYOUT_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
+def _depth_layouts(layout: TiledLayout) -> tuple[TiledLayout, ...]:
+    """``layout`` restricted to grid order ``0..layout.d``, one per order.
+
+    Entry ``d`` is the geometry of every ``2^d x 2^d``-tile view of a
+    matrix stored in ``layout``, and the layout of its temporaries.
+    """
+    curve, t_r, t_c = layout.curve, layout.t_r, layout.t_c
+    return tuple(TiledLayout(curve, d, t_r, t_c) for d in range(layout.d)) + (layout,)
+
 
 class TiledMatrix:
     """A padded matrix stored in a recursive layout (equation (3)).
@@ -42,7 +59,7 @@ class TiledMatrix:
     paper's padding policy: compute blindly on the zeros).
     """
 
-    __slots__ = ("layout", "buf", "m", "n")
+    __slots__ = ("layout", "buf", "m", "n", "_levels", "_tiles")
 
     def __init__(self, layout: TiledLayout, buf: np.ndarray, m: int, n: int):
         if buf.ndim != 1 or buf.shape[0] != layout.n_elements:
@@ -61,6 +78,17 @@ class TiledMatrix:
         self.buf = buf
         self.m = m
         self.n = n
+        # The layout of a 2^d x 2^d-tile view, per d; shared by every
+        # matrix of this layout and handed on to its temporaries.
+        self._levels = _depth_layouts(layout)
+        self._tiles = None
+
+    def __getstate__(self):
+        # A copy or unpickled matrix rebuilds the tile stack over its own
+        # buffer; a copied stack would no longer write through to it.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_tiles"] = None
+        return None, state
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -78,6 +106,20 @@ class TiledMatrix:
         layout = TiledLayout(get_recursive_layout(curve), d, t_r, t_c)
         buf = np.zeros(layout.n_elements, dtype=dtype)
         return cls(layout, buf, m or layout.rows, n or layout.cols)
+
+    @classmethod
+    def _temporary(cls, view: "QuadView") -> "TiledMatrix":
+        """Uninitialized matrix of ``view``'s geometry and dtype, built
+        without re-validating what ``view``'s own matrix already passed."""
+        tm = cls.__new__(cls)
+        rows, cols = view.rows, view.cols
+        tm.layout = view.geometry
+        tm.buf = np.empty(rows * cols, dtype=view.matrix.buf.dtype)
+        tm.m = rows
+        tm.n = cols
+        tm._levels = view.matrix._levels
+        tm._tiles = None
+        return tm
 
     @property
     def dtype(self):
@@ -98,6 +140,19 @@ class TiledMatrix:
         """View covering the whole tile grid, root orientation."""
         return QuadView(self, 0, self.layout.d, 0)
 
+    def tile_stack(self) -> np.ndarray:
+        """``(n_tiles, t_r, t_c)`` view of the buffer, tiles in curve order.
+
+        Entry ``s`` is tile ``s`` as a column-major 2-D array writing
+        through to ``buf``; built on first use and kept.
+        """
+        tiles = self._tiles
+        if tiles is None:
+            lay = self.layout
+            tiles = self.buf.reshape(lay.n_tiles, lay.t_c, lay.t_r).transpose(0, 2, 1)
+            self._tiles = tiles
+        return tiles
+
     def __getitem__(self, idx: tuple[int, int]):
         """Element access by logical (i, j) — for tests and debugging."""
         i, j = idx
@@ -112,50 +167,53 @@ class TiledMatrix:
         self.buf[self.layout.address_scalar(i, j)] = value
 
 
-@dataclasses.dataclass(frozen=True)
 class QuadView:
-    """A contiguous ``2^d x 2^d``-tile square region of a TiledMatrix."""
+    """A contiguous ``2^d x 2^d``-tile square region of a TiledMatrix.
 
-    matrix: TiledMatrix
-    tile_off: int
-    d: int
-    orientation: int
+    Its geometry is fixed when it is made: ``rows``/``cols`` (padded),
+    ``n_tiles``, ``is_leaf``, and ``geometry``, the region's own
+    :class:`TiledLayout` (grid order ``d``).  Equal geometries make two
+    views addable, and a temporary of the view gets that layout.
+    """
+
+    __slots__ = (
+        "matrix", "tile_off", "d", "orientation",
+        "geometry", "rows", "cols", "n_tiles", "is_leaf",
+    )
+
+    def __init__(self, matrix: TiledMatrix, tile_off: int, d: int, orientation: int):
+        geometry = matrix._levels[d]
+        self.matrix = matrix
+        self.tile_off = tile_off
+        self.d = d
+        self.orientation = orientation
+        self.geometry = geometry
+        self.rows = geometry.t_r << d
+        self.cols = geometry.t_c << d
+        self.n_tiles = 1 << (2 * d)
+        self.is_leaf = d == 0
+
+    def __repr__(self) -> str:
+        return (
+            f"QuadView(tile_off={self.tile_off}, d={self.d}, "
+            f"orientation={self.orientation}, geometry={self.geometry})"
+        )
 
     # -- geometry ----------------------------------------------------------
     @property
     def curve(self) -> RecursiveLayout:
         """The space-filling curve governing tile order."""
-        return self.matrix.layout.curve  # type: ignore[return-value]
+        return self.geometry.curve  # type: ignore[return-value]
 
     @property
     def t_r(self) -> int:
         """Tile row count."""
-        return self.matrix.layout.t_r
+        return self.geometry.t_r
 
     @property
     def t_c(self) -> int:
         """Tile column count."""
-        return self.matrix.layout.t_c
-
-    @property
-    def n_tiles(self) -> int:
-        """Tiles covered by this view."""
-        return 1 << (2 * self.d)
-
-    @property
-    def rows(self) -> int:
-        """Padded rows covered."""
-        return self.t_r << self.d
-
-    @property
-    def cols(self) -> int:
-        """Padded cols covered."""
-        return self.t_c << self.d
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when the view is a single tile."""
-        return self.d == 0
+        return self.geometry.t_c
 
     @property
     def is_contiguous(self) -> bool:
@@ -165,9 +223,9 @@ class QuadView:
     # -- storage access ------------------------------------------------------
     def buffer(self) -> np.ndarray:
         """The contiguous 1-D slice of the backing buffer for this region."""
-        tsize = self.matrix.layout.tile_size
-        start = self.tile_off * tsize
-        return self.matrix.buf[start : start + self.n_tiles * tsize]
+        size = self.rows * self.cols
+        start = self.tile_off * (size // self.n_tiles)
+        return self.matrix.buf[start : start + size]
 
     def tiles(self) -> np.ndarray:
         """(n_tiles, tile_size) 2-D view, tiles in curve order."""
@@ -175,29 +233,35 @@ class QuadView:
 
     def leaf_array(self) -> np.ndarray:
         """For a leaf view: the (t_r, t_c) column-major 2-D tile."""
-        if not self.is_leaf:
+        if self.d:
             raise ValueError(f"leaf_array on non-leaf view (d={self.d})")
-        return self.buffer().reshape(self.t_r, self.t_c, order="F")
+        return self.matrix.tile_stack()[self.tile_off]
 
     # -- navigation -----------------------------------------------------------
     def quadrant(self, qi: int, qj: int) -> "QuadView":
-        """Quadrant (row-half, col-half): two FSM table lookups."""
-        if self.d == 0:
+        """Quadrant (row-half, col-half): one FSM table lookup."""
+        d = self.d
+        if d == 0:
             raise ValueError("cannot take a quadrant of a leaf tile")
+        steps = self.geometry.curve.quadrant_steps[self.orientation]
+        rank, child = steps[2 * qi + qj]
         quad_tiles = self.n_tiles >> 2
-        rank = self.curve.quadrant_rank(self.orientation, qi, qj)
-        child = self.curve.quadrant_orientation(self.orientation, qi, qj)
-        return QuadView(
-            self.matrix, self.tile_off + rank * quad_tiles, self.d - 1, child
-        )
+        return QuadView(self.matrix, self.tile_off + rank * quad_tiles, d - 1, child)
 
     def quadrants(self) -> tuple["QuadView", "QuadView", "QuadView", "QuadView"]:
         """(q11, q12, q21, q22) in the paper's numbering (row, col from 1)."""
+        d = self.d
+        if d == 0:
+            raise ValueError("cannot take a quadrant of a leaf tile")
+        (r11, o11), (r12, o12), (r21, o21), (r22, o22) = (
+            self.geometry.curve.quadrant_steps[self.orientation]
+        )
+        m, off, quad_tiles = self.matrix, self.tile_off, self.n_tiles >> 2
         return (
-            self.quadrant(0, 0),
-            self.quadrant(0, 1),
-            self.quadrant(1, 0),
-            self.quadrant(1, 1),
+            QuadView(m, off + r11 * quad_tiles, d - 1, o11),
+            QuadView(m, off + r12 * quad_tiles, d - 1, o12),
+            QuadView(m, off + r21 * quad_tiles, d - 1, o21),
+            QuadView(m, off + r22 * quad_tiles, d - 1, o22),
         )
 
     # -- temporaries ------------------------------------------------------------
@@ -209,26 +273,21 @@ class QuadView:
         semantics), which is what keeps the paper's 18/15 addition
         counts exact.
         """
-        layout = TiledLayout(
-            self.curve, self.d, self.t_r, self.t_c
-        )
-        buf = np.empty(layout.n_elements, dtype=self.matrix.dtype)
-        return TiledMatrix(layout, buf, layout.rows, layout.cols).root_view()
+        return TiledMatrix._temporary(self).root_view()
 
     # -- materialization (tests / verification) -----------------------------------
     def to_array(self) -> np.ndarray:
         """Materialize this region as a dense (rows, cols) array (copy)."""
         side = 1 << self.d
+        t_r, t_c = self.t_r, self.t_c
         out = np.empty((self.rows, self.cols), dtype=self.matrix.dtype)
-        tiles = self.tiles()
+        tiles = self.matrix.tile_stack()[self.tile_off : self.tile_off + self.n_tiles]
         order = self.curve.tile_order(self.d, self.orientation)
         for ti in range(side):
             for tj in range(side):
-                tile = tiles[order[ti, tj]].reshape(self.t_r, self.t_c, order="F")
-                out[
-                    ti * self.t_r : (ti + 1) * self.t_r,
-                    tj * self.t_c : (tj + 1) * self.t_c,
-                ] = tile
+                out[ti * t_r : (ti + 1) * t_r, tj * t_c : (tj + 1) * t_c] = tiles[
+                    order[ti, tj]
+                ]
         return out
 
 
@@ -288,35 +347,37 @@ class DenseMatrix:
         return DenseView(self.array, self.t_r, self.t_c)
 
 
-@dataclasses.dataclass(frozen=True)
 class DenseView:
-    """A (strided) rectangular region of a canonical-layout matrix."""
+    """A (strided) rectangular region of a canonical-layout matrix.
 
-    array: np.ndarray  # 2-D numpy view
-    t_r: int
-    t_c: int
-    orientation: int = 0  # canonical views have a single orientation
+    Like a QuadView, its geometry is fixed when it is made; ``geometry``
+    is ``(rows, cols, t_r, t_c)``, and equal geometries make two views
+    addable.
+    """
 
-    @property
-    def rows(self) -> int:
-        """Rows covered."""
-        return self.array.shape[0]
+    __slots__ = (
+        "array", "t_r", "t_c", "orientation", "geometry", "rows", "cols", "is_leaf",
+    )
 
-    @property
-    def cols(self) -> int:
-        """Columns covered."""
-        return self.array.shape[1]
+    def __init__(self, array: np.ndarray, t_r: int, t_c: int, orientation: int = 0):
+        rows, cols = array.shape
+        self.array = array  # 2-D numpy view
+        self.t_r = t_r
+        self.t_c = t_c
+        self.orientation = orientation  # canonical views have a single orientation
+        self.geometry = (rows, cols, t_r, t_c)
+        self.rows = rows
+        self.cols = cols
+        self.is_leaf = rows == t_r and cols == t_c
+
+    def __repr__(self) -> str:
+        return f"DenseView(geometry={self.geometry}, strides={self.array.strides})"
 
     @property
     def d(self) -> int:
         """Tile-grid order of this view."""
         side = self.rows // self.t_r
         return side.bit_length() - 1
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when the view is a single tile."""
-        return self.rows == self.t_r and self.cols == self.t_c
 
     @property
     def is_contiguous(self) -> bool:

@@ -65,6 +65,7 @@ from repro.memsim.machine import (
 )
 
 __all__ = [
+    "MAX_BYTES",
     "MAX_WAYS",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -92,16 +93,25 @@ class ProtocolError(ValueError):
 #: request make the service allocate without limit.
 MAX_WAYS = 1024
 
+#: Largest cache size, line size or page size (bytes) a request may
+#: name.  The engines index in int64: line and page numbers, set
+#: indices and the stored profile's family fields are int64 arrays, so
+#: a larger value fails the job with an OverflowError instead of being
+#: refused here.  2**40 is far above any real cache or page and leaves
+#: int64 headroom for the products the engines form.
+MAX_BYTES = 1 << 40
+
 #: fig6ms params that list associativities or TLB sizes.
 _WAY_PARAMS = ("l1_assocs", "l2_assocs", "tlb_entries")
 
 
-def _check_ways(name: str, values: Sequence[int]) -> None:
-    if max(values) > MAX_WAYS:
-        raise ProtocolError(
-            f"{name} must be at most {MAX_WAYS} (one histogram bin per way "
-            f"or entry)"
-        )
+_WAYS_WHY = "(one histogram bin per way or entry)"
+_BYTES_WHY = "bytes (the engines index in int64)"
+
+
+def _check_at_most(name: str, values: Sequence[int], bound: int, why: str) -> None:
+    if max(values) > bound:
+        raise ProtocolError(f"{name} must be at most {bound} {why}")
 
 
 # -- machine specs -----------------------------------------------------
@@ -142,9 +152,19 @@ def resolve_machine(spec: Any) -> MachineModel:
             machine = machine_from_dict(spec)
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"bad machine field dict: {exc}") from None
-        _check_ways(
+        _check_at_most(
             "machine associativities and tlb_entries",
             (machine.l1.assoc, machine.l2.assoc, machine.tlb_entries),
+            MAX_WAYS, _WAYS_WHY,
+        )
+        _check_at_most(
+            "machine cache sizes, line sizes and page",
+            (
+                machine.l1.size, machine.l1.line,
+                machine.l2.size, machine.l2.line,
+                machine.page,
+            ),
+            MAX_BYTES, _BYTES_WHY,
         )
         return machine
     raise ProtocolError(
@@ -287,7 +307,7 @@ def _canonical(figure: Figure, params: dict) -> dict:
         if p.choices:
             _check_names(p.name, value, p.choices)
         if p.name in _WAY_PARAMS:
-            _check_ways(f"param {p.name!r}", value)
+            _check_at_most(f"param {p.name!r}", value, MAX_WAYS, _WAYS_WHY)
         canonical[p.name] = value
     return canonical
 

@@ -193,17 +193,24 @@ class TestValidationAndStats:
         assert r.conversion.count >= 3
 
     def test_instrument_flops_match_opcount(self, rng):
+        # Every layout streams exactly the additions the recurrence
+        # counts (dgemm accumulates into its C target) and copies none.
         from repro.algorithms.opcount import op_count
+        from repro.layouts.registry import PAPER_LAYOUTS
 
         n = 32
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
         for algo in ALL_ALGORITHMS:
-            r = dgemm(a, b, tile=8, algorithm=algo)
-            padded = r.tiling.padded[0]
-            expect = op_count(algo, padded, 8)
-            assert r.counters.multiply_flops == expect.multiply_flops, algo
-            assert r.counters.leaf_multiplies == expect.leaf_multiplies, algo
+            for layout in PAPER_LAYOUTS:
+                r = dgemm(a, b, tile=8, algorithm=algo, layout=layout)
+                padded = r.tiling.padded[0]
+                expect = op_count(algo, padded, 8, accumulate=True)
+                got = r.counters
+                assert got.multiply_flops == expect.multiply_flops, (algo, layout)
+                assert got.leaf_multiplies == expect.leaf_multiplies, (algo, layout)
+                assert got.add_elements == expect.add_elements, (algo, layout)
+                assert got.copy_elements == 0, (algo, layout)
 
 
 class TestDtypes:

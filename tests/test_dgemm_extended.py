@@ -66,6 +66,27 @@ class TestRuntimePlumbing:
             r = dgemm(a, b, rt=rt, trange=TR)
         np.testing.assert_allclose(r.c, a @ b, atol=1e-10)
 
+    def test_thread_runtime_races_on_lazy_tile_stacks(self, rng):
+        # Parallel tasks build each operand's tile stack on first use; a
+        # lost race may only rebuild the same view, never misplace a tile.
+        import sys
+
+        from repro.runtime import ThreadRuntime
+
+        a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, 64))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for layout in ("LZ", "LH"):
+                for _ in range(3):
+                    with ThreadRuntime(n_workers=8) as rt:
+                        r = dgemm(a, b, tile=8, algorithm="strassen",
+                                  layout=layout, rt=rt)
+                    np.testing.assert_allclose(r.c, a @ b, atol=1e-10)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestPartitionQuality:
     def test_extreme_lean_prefers_split_over_pad(self, rng):

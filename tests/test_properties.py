@@ -15,6 +15,7 @@ from repro.matrix.tile import (
     matmul_tiling_for_fixed_tile,
     InfeasibleTiling,
 )
+from repro.matrix import partition
 from repro.matrix.partition import plan_partition
 
 LAYOUT_NAMES = st.sampled_from(["LU", "LX", "LZ", "LG", "LH"])
@@ -144,6 +145,30 @@ class TestTilingProperties:
             if not bp.accumulate
         )
         assert area == m * n
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 1000),
+        st.integers(1, 1000),
+        st.integers(1, 1000),
+        st.integers(2, 32),
+        st.integers(0, 32),
+    )
+    def test_partition_memo_is_exact(self, m, k, n, t_min, spread):
+        tr = TileRange(t_min, t_min + spread)
+        plan = plan_partition(m, k, n, tr)
+        assert plan == partition._search_partition.__wrapped__(m, k, n, tr)
+        assert plan_partition(m, k, n, tr) is plan
+
+    def test_partition_memo_shares_default_entry_and_is_bounded(self):
+        memo = partition._search_partition
+        memo.cache_clear()
+        plan = plan_partition(300, 40, 35)
+        assert plan_partition(300, 40, 35, TileRange()) is plan
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == partition._PLAN_MEMO_SIZE
+        assert 0 < info.maxsize < 10_000
 
     @settings(max_examples=40)
     @given(st.integers(1, 500), st.integers(1, 64))

@@ -264,6 +264,15 @@ def _machine_with(level=None, **fields):
             "at most 1024",
         ),
         ({"l1_assocs": [1, 10**6]}, "'l1_assocs' must be at most 1024"),
+        (
+            {"machine": _machine_with("l1", size=32 * 10**30)},
+            "at most 1099511627776 bytes",
+        ),
+        (
+            {"machine": _machine_with("l2", size=64 * 10**30)},
+            "at most 1099511627776 bytes",
+        ),
+        ({"machine": _machine_with(page=10**30)}, "at most 1099511627776 bytes"),
     ],
 )
 def test_bad_params_are_400(server, params, fragment):

@@ -1,12 +1,15 @@
 """Matrix containers and view navigation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.layouts.tiled import TiledLayout
 from repro.matrix.convert import to_tiled
 from repro.matrix.tile import Tiling
-from repro.matrix.tiledmatrix import DenseMatrix, TiledMatrix
+from repro.matrix.tiledmatrix import DenseMatrix, QuadView, TiledMatrix
 from tests.conftest import ALL_RECURSIVE
 
 
@@ -54,6 +57,17 @@ class TestTiledMatrix:
         with pytest.raises(ValueError):
             TiledMatrix.zeros("LZ", 1, 2, 2, m=5, n=4)
 
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda tm: pickle.loads(pickle.dumps(tm))]
+    )
+    def test_copy_leaves_write_through_to_own_buffer(self, clone):
+        tm = TiledMatrix.zeros("LH", 1, 2, 2)
+        tm.root_view().quadrant(0, 0).leaf_array()  # builds the tile stack
+        twin = clone(tm)
+        twin.root_view().quadrant(1, 1).leaf_array()[...] = 5.0
+        assert (tm.buf == 0).all()
+        assert (twin.buf == 5.0).sum() == 4
+
 
 @pytest.mark.parametrize("curve", ALL_RECURSIVE)
 class TestQuadView:
@@ -92,6 +106,50 @@ class TestQuadView:
         leaf = tm.root_view().quadrant(1, 1)
         np.testing.assert_array_equal(leaf.leaf_array(), a[4:, 4:])
         assert leaf.leaf_array().flags["F_CONTIGUOUS"]
+
+    def test_quadrant_navigation_every_orientation(self, curve):
+        tm = TiledMatrix.zeros(curve, 3, 2, 3)
+        fsm = tm.layout.curve
+        for o in range(fsm.n_orientations):
+            v = QuadView(tm, 16, 2, o)  # the second d=2 quarter, oriented o
+            quads = v.quadrants()
+            for idx, (qi, qj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                q = v.quadrant(qi, qj)
+                rank = fsm.quadrant_rank(o, qi, qj)
+                assert q.matrix is tm
+                assert q.tile_off == v.tile_off + rank * v.n_tiles // 4
+                assert q.d == 1
+                assert q.orientation == fsm.quadrant_orientation(o, qi, qj)
+                assert (q.rows, q.cols, q.n_tiles) == (4, 6, 4)
+                twin = quads[idx]
+                assert (twin.tile_off, twin.d, twin.orientation) == (
+                    q.tile_off, q.d, q.orientation
+                )
+
+    def test_leaves_write_through_at_layout_address(self, curve):
+        t_r, t_c = 2, 3
+        tm = TiledMatrix.zeros(curve, 2, t_r, t_c)
+        rows, cols = np.meshgrid(np.arange(t_r), np.arange(t_c), indexing="ij")
+        todo = [(tm.root_view(), 0, 0)]
+        leaves = 0
+        while todo:
+            v, ti, tj = todo.pop()
+            if not v.is_leaf:
+                halves = ((0, 0), (0, 1), (1, 0), (1, 1))
+                for (qi, qj), q in zip(halves, v.quadrants()):
+                    todo.append((q, 2 * ti + qi, 2 * tj + qj))
+                continue
+            leaf = v.leaf_array()
+            assert leaf.shape == (t_r, t_c)
+            assert leaf.flags["F_CONTIGUOUS"]
+            assert np.shares_memory(leaf, tm.buf)
+            vals = 100.0 * (leaves + 1) + 10 * rows + cols
+            leaf[...] = vals
+            addr = tm.layout.address(ti * t_r + rows, tj * t_c + cols)
+            np.testing.assert_array_equal(tm.buf[addr], vals)
+            leaves += 1
+        assert leaves == 16
+        assert (tm.buf != 0).all()
 
     def test_leaf_guard(self, curve):
         tm = TiledMatrix.zeros(curve, 1, 2, 2)
