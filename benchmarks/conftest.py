@@ -32,7 +32,8 @@ def pytest_terminal_summary(terminalreporter):
         tr.write_sep("-", "trace cache")
         tr.write_line(
             f"root={store.root}  "
-            f"profiles: {c['profile_hits']} hit / {c['profile_misses']} miss"
+            f"profiles: {c['profile_hits']} hit / {c['profile_misses']} miss, "
+            f"{c['profile_rebuilds']} rebuilt wider"
         )
         if c["profile_misses"] == 0:
             tr.write_line("warm cache: no trace was re-expanded this run")

@@ -248,7 +248,8 @@ def fig6_machine_scaling(
     on the full associativity/TLB grid of
     :func:`~repro.memsim.machine.assoc_scaled` — the canonical consumer
     of the multi-config reuse-distance profile: per trace, one profile
-    build answers the entire machine grid by histogram suffix-sums.
+    build answers the entire machine grid, each machine by a few lookups
+    in the profile's precomputed miss tails.
     """
     points = fig6ms_points(
         n=n, tile=tile, algorithms=algorithms, layouts=layouts,

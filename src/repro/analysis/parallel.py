@@ -540,8 +540,8 @@ def fig6ms_point(
     trace on every associativity/TLB configuration of the grid.
 
     The grid is the multi-config profile's home turf: one profile,
-    built at the grid's union of caps, answers every machine by
-    histogram suffix-sums.
+    built at the grid's union of caps, answers every machine by a few
+    lookups in its precomputed miss tails.
     """
     with obs.span("fig6ms.point", algorithm=algorithm, layout=layout,
                   configs=len(machines)):

@@ -58,7 +58,10 @@ class MemoryStats:
         return self.cycles / self.accesses if self.accesses else 0.0
 
     def publish(self, prefix: str = "memsim") -> None:
-        """Publish this simulation into the obs metrics registry (gated)."""
+        """Publish this simulation into the obs metrics registry (gated:
+        returns at once when obs is off)."""
+        if not obs.enabled():
+            return
         obs.add(f"{prefix}.simulations")
         obs.add(f"{prefix}.accesses", self.accesses)
         obs.add(f"{prefix}.l1_misses", self.l1_misses)

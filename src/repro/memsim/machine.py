@@ -19,10 +19,12 @@ DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 
 __all__ = [
     "CacheGeometry",
+    "ConfigFamily",
     "MachineModel",
     "ultrasparc_like",
     "modern_like",
@@ -65,6 +67,28 @@ class CacheGeometry:
 
 
 @dataclasses.dataclass(frozen=True)
+class ConfigFamily:
+    """The machine fields a reuse profile is valid for.
+
+    Two machines share a profile iff they agree on every field here;
+    capacities, associativities and cycle costs are free to differ
+    (capacity enters only through ``n_sets = size / (line * assoc)``,
+    which is pinned per family).
+    """
+
+    l1_line: int
+    l1_sets: int
+    l2_line: int
+    l2_sets: int
+    page: int
+
+    @classmethod
+    def of(cls, machine: "MachineModel") -> "ConfigFamily":
+        """``machine``'s family (:attr:`MachineModel.family`)."""
+        return machine.family
+
+
+@dataclasses.dataclass(frozen=True)
 class MachineModel:
     """A full memory-hierarchy model with per-level cycle costs."""
 
@@ -84,6 +108,20 @@ class MachineModel:
         _require(self, numbers.Integral, 1, "page", "itemsize")
         _require(self, numbers.Integral, 0, "tlb_entries")
         _require(self, numbers.Real, 0, "l1_hit", "l2_hit", "mem", "tlb_miss")
+
+    @functools.cached_property
+    def family(self) -> ConfigFamily:
+        """The :class:`ConfigFamily` this machine is priced in, computed
+        on first read and kept on the object.  Not a field: equality,
+        hashing and ``dataclasses.asdict`` (the request and manifest
+        forms) never see it."""
+        return ConfigFamily(
+            l1_line=self.l1.line,
+            l1_sets=self.l1.n_sets,
+            l2_line=self.l2.line,
+            l2_sets=self.l2.n_sets,
+            page=self.page,
+        )
 
 
 def ultrasparc_like() -> MachineModel:
@@ -139,6 +177,12 @@ def scaled(factor: int = 4) -> MachineModel:
     )
 
 
+#: Machines kept by :func:`assoc_scaled`'s memo.  fig6ms's default grid
+#: has 16; the bound only caps a long-lived process fed ever new ones.
+_ASSOC_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_ASSOC_MEMO_SIZE, typed=True)
 def assoc_scaled(
     l1_assoc: int = 1, l2_assoc: int = 1, tlb_entries: int = 16
 ) -> MachineModel:
@@ -151,6 +195,10 @@ def assoc_scaled(
     (:mod:`repro.memsim.multiconfig`).  This is the machine-scaling
     axis of the paper's sensitivity question: how much of the recursive
     layouts' win survives as associativity buys out conflict misses.
+
+    Memoized per argument tuple (``typed``, so ``1.0`` and ``True`` are
+    validated on their own): a repeated grid gets the same frozen,
+    already validated machine objects back.
     """
     if l1_assoc < 1 or l2_assoc < 1:
         raise ValueError(

@@ -22,11 +22,13 @@ up to the cap of the same ``(line, n_sets)`` family by a suffix sum,
   associative, family ``n_sets = 1`` — any entry count up to its cap
   queries from one histogram).
 
-:meth:`ReuseProfile.query` then derives exact :class:`MemoryStats` for
-any machine in the family within the caps, with O(histogram) work — no
-per-config replay.  :func:`build_profile` caps at exactly what the
-machines it is given ask for: one machine's own associativities and TLB
-size (one L2 pass, how
+A profile derives each histogram's suffix sums (its *miss tail*,
+``tail[a] = hist[a:].sum()``) once, at construction (built, loaded or
+made directly), so :meth:`ReuseProfile.query` derives exact
+:class:`MemoryStats` for any machine in the family within the caps by a
+few index lookups — no per-config replay and no per-query sum.
+:func:`build_profile` caps at exactly what the machines it is given ask
+for: one machine's own associativities and TLB size (one L2 pass, how
 :func:`repro.memsim.hierarchy.simulate_hierarchy` prices a machine), or
 a whole associativity/TLB grid's union (fig6ms).  Configs that change a
 level's line size or set count (a different *family*) need a fresh
@@ -46,7 +48,7 @@ import numpy as np
 from repro import obs
 from repro.memsim.engines import set_stack_distances, stack_distances
 from repro.memsim.hierarchy import MemoryStats
-from repro.memsim.machine import CacheGeometry, MachineModel
+from repro.memsim.machine import CacheGeometry, ConfigFamily, MachineModel
 
 __all__ = ["ConfigFamily", "ReuseProfile", "build_profile"]
 
@@ -54,36 +56,15 @@ __all__ = ["ConfigFamily", "ReuseProfile", "build_profile"]
 _PROFILE_VERSION = 2
 
 
-@dataclasses.dataclass(frozen=True)
-class ConfigFamily:
-    """The machine fields a reuse profile is valid for.
-
-    Two machines share a profile iff they agree on every field here;
-    capacities, associativities and cycle costs are free to differ
-    (capacity enters only through ``n_sets = size / (line * assoc)``,
-    which is pinned per family).
-    """
-
-    l1_line: int
-    l1_sets: int
-    l2_line: int
-    l2_sets: int
-    page: int
-
-    @classmethod
-    def of(cls, machine: MachineModel) -> "ConfigFamily":
-        return cls(
-            l1_line=machine.l1.line,
-            l1_sets=machine.l1.n_sets,
-            l2_line=machine.l2.line,
-            l2_sets=machine.l2.n_sets,
-            page=machine.page,
-        )
-
-
 def _histogram(sd: np.ndarray, cap: int) -> np.ndarray:
     """``cap + 1``-bin histogram of a capped distance array."""
     return np.bincount(sd, minlength=cap + 1).astype(np.int64)
+
+
+def _tail(hist: np.ndarray) -> list[int]:
+    """Miss tail of a histogram: ``tail[a] == int(hist[a:].sum())``, the
+    misses at capacity ``a``."""
+    return np.cumsum(hist[::-1])[::-1].tolist()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,15 +80,29 @@ class ReuseProfile:
     #: L1 associativity -> L2 stack-distance histogram over the
     #: L1-miss stream of that associativity.
     l2: dict[int, np.ndarray]
+    # Miss tails of the histograms above (see _tail), derived once at
+    # construction so a query indexes instead of summing.
+    _l1_tail: list[int] = dataclasses.field(init=False, repr=False, compare=False)
+    _tlb_tail: list[int] = dataclasses.field(init=False, repr=False, compare=False)
+    _l2_tail: dict[int, list[int]] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_l1_tail", _tail(self.l1_hist))
+        object.__setattr__(self, "_tlb_tail", _tail(self.tlb_hist))
+        object.__setattr__(
+            self, "_l2_tail", {a: _tail(h) for a, h in self.l2.items()}
+        )
 
     def supports(self, machine: MachineModel) -> bool:
         """Whether :meth:`query` can price this machine exactly."""
-        l2_hist = self.l2.get(machine.l1.assoc)
+        l2_tail = self._l2_tail.get(machine.l1.assoc)
         return (
-            ConfigFamily.of(machine) == self.family
-            and l2_hist is not None
-            and machine.l2.assoc < l2_hist.size
-            and machine.tlb_entries < self.tlb_hist.size
+            machine.family == self.family
+            and l2_tail is not None
+            and machine.l2.assoc < len(l2_tail)
+            and machine.tlb_entries < len(self._tlb_tail)
         )
 
     def reach(self) -> list[MachineModel]:
@@ -138,11 +133,11 @@ class ReuseProfile:
         n = self.accesses
         if n == 0:
             return MemoryStats(0, 0, 0, 0, 0.0)
-        l1_misses = int(self.l1_hist[machine.l1.assoc :].sum())
-        l2_hist = self.l2[machine.l1.assoc]
-        l2_misses = int(l2_hist[machine.l2.assoc :].sum())
+        l1_assoc = machine.l1.assoc
+        l1_misses = self._l1_tail[l1_assoc]
+        l2_misses = self._l2_tail[l1_assoc][machine.l2.assoc]
         tlb_misses = (
-            int(self.tlb_hist[machine.tlb_entries :].sum())
+            self._tlb_tail[machine.tlb_entries]
             if include_tlb and machine.tlb_entries > 0
             else 0
         )
@@ -198,7 +193,7 @@ def build_profile(
     largest of those, L2 distances at the largest L2 associativity, TLB
     distances at the largest TLB size (0 prices no TLB).
     """
-    families = {ConfigFamily.of(m) for m in machines}
+    families = {m.family for m in machines}
     if len(families) != 1:
         raise ValueError(
             f"a profile prices machines of one config family, got {len(families)}"

@@ -9,12 +9,15 @@ disk, its :class:`~repro.memsim.multiconfig.ReuseProfile`, stored as
 fields that affect expansion (L1 line size, page size, item size) and
 the machine's config family, so it prices every machine model of the
 family within its caps.  Every price (:meth:`TraceStore.stats`) is a
-query of that profile: a few histogram suffix sums, cheap enough that
-no priced result is stored.  A profile is built at the caps of the
-machines asked for together (one direct-mapped machine: one cheap
-pass; a fig6ms grid: its union); a later machine beyond them rebuilds
-it at the stored caps widened by the new request, so a rebuild never
-narrows what a profile prices.
+query of that profile: a few lookups in miss tails the profile
+precomputed, cheap enough that no priced result is stored.  A warm
+profile is found in memory by the value of what its key covers; the
+sha256 content key is derived only when that memo misses, to find the
+``.npz``.  A profile is built at the caps of the machines asked for
+together (one direct-mapped machine: one cheap pass; a fig6ms grid: its
+union); a later machine beyond them rebuilds it at the stored caps
+widened by the new request (counted as ``profile_rebuilds``, and as a
+miss), so a rebuild never narrows what a profile prices.
 
 The expanded address trace itself is never persisted: a profile miss
 rebuilds it (:meth:`TraceStore.trace`), profiles it and drops it.
@@ -51,7 +54,7 @@ import numpy as np
 from repro import knobs, obs
 from repro.memsim.hierarchy import MemoryStats
 from repro.memsim.machine import MachineModel
-from repro.memsim.multiconfig import ConfigFamily, ReuseProfile, build_profile
+from repro.memsim.multiconfig import ReuseProfile, build_profile
 from repro.memsim.synthesis import EventTable, expand_table, synthesize_multiply
 from repro.memsim.synthetic import (
     blocked_canonical_events,
@@ -107,7 +110,7 @@ def _profile_key(fields: dict, machine: MachineModel) -> str:
             "v": _STORE_VERSION,
             "fields": fields,
             "expand": _expansion_fingerprint(machine),
-            "family": dataclasses.asdict(ConfigFamily.of(machine)),
+            "family": dataclasses.asdict(machine.family),
         }
     )
 
@@ -123,9 +126,13 @@ class TraceStore:
         self.root = Path(root)
         self.profile_hits = 0
         self.profile_misses = 0
-        # Warm reuse-distance profiles by content key, least recently
-        # used first, at most _MEMO_PROFILES of them.
-        self._profiles: dict[str, ReuseProfile] = {}
+        # Misses that found a profile too narrow for the request and
+        # rebuilt it wider.
+        self.profile_rebuilds = 0
+        # Warm reuse-distance profiles with their content keys, least
+        # recently used first, at most _MEMO_PROFILES of them, looked up
+        # by the value of what the key covers (see profile()).
+        self._profiles: dict[tuple, tuple[str, ReuseProfile]] = {}
         # Content addresses this store touched, in first-touch order:
         # key -> "hit" | "miss".  Run manifests embed these so any output
         # can name the exact cached artifacts it was computed from.
@@ -134,15 +141,16 @@ class TraceStore:
     # -- bookkeeping ---------------------------------------------------
 
     def counters(self) -> dict[str, int]:
-        """Current hit/miss counters (for reporting and tests)."""
+        """Current hit/miss/rebuild counters (for reporting and tests)."""
         return {
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
+            "profile_rebuilds": self.profile_rebuilds,
         }
 
     def reset_counters(self) -> None:
-        """Zero all hit/miss counters and the touched-key record."""
-        self.profile_hits = self.profile_misses = 0
+        """Zero all counters and the touched-key record."""
+        self.profile_hits = self.profile_misses = self.profile_rebuilds = 0
         self._touched.clear()
 
     def touched_map(self) -> dict[str, str]:
@@ -164,6 +172,7 @@ class TraceStore:
         """
         self.profile_hits += int(counters.get("profile_hits", 0))
         self.profile_misses += int(counters.get("profile_misses", 0))
+        self.profile_rebuilds += int(counters.get("profile_rebuilds", 0))
         for key, verdict in (touched or {}).items():
             self._touched.setdefault(key, verdict)
 
@@ -222,15 +231,22 @@ class TraceStore:
         The machines must share one config family and item size.  The
         key covers only the trace identity and the family — every
         machine model differing in capacity, associativity or cycle
-        costs answers from the same artifact.  A miss rebuilds the
-        trace with ``build_trace`` and profiles it at the machines'
-        caps.  A stored profile that cannot price every machine (an L1
-        associativity is missing, or an associativity or TLB size
-        exceeds its caps) counts as a miss and is rebuilt at its own
-        caps widened by the request.
+        costs answers from the same artifact.  The in-memory memo is
+        looked up by the value of what the key covers: ``fields``'
+        items (str, int or ``None``; another item order only misses
+        the memo), the family (which holds the L1 line and page) and
+        the item size.  So a warm hit derives no key; the sha256 key is
+        computed on a memo miss, to find the ``.npz``.  A miss rebuilds
+        the trace with ``build_trace`` and profiles it at the machines'
+        caps.  A memoized or stored profile that cannot price every
+        machine (an L1 associativity is missing, or an associativity or
+        TLB size exceeds its caps) counts as a miss and a rebuild, and
+        is rebuilt at its own caps widened by the request.
         """
-        key = _profile_key(fields, machines[0])
-        prof = self._profiles.get(key)
+        head = machines[0]
+        memo_key = (tuple(fields.items()), head.family, head.itemsize)
+        memo = self._profiles.get(memo_key)
+        key, prof = memo if memo else (_profile_key(fields, head), None)
         if prof is None and self._path(key).exists():
             try:
                 with open(self._path(key), "rb") as fh:
@@ -239,9 +255,12 @@ class TraceStore:
                 prof = None  # corrupt/partial file: rebuild below
         if prof is not None and all(map(prof.supports, machines)):
             self._touch(key, hit=True)
-            self._remember_profile(key, prof)
+            self._remember_profile(memo_key, key, prof)
             return prof
         self._touch(key, hit=False)
+        if prof is not None:
+            self.profile_rebuilds += 1
+            obs.add("memsim.store.profile_rebuilds")
         addrs = self.trace(fields, build_trace)
         prof = build_profile(addrs, [*machines, *(prof.reach() if prof else ())])
 
@@ -250,12 +269,14 @@ class TraceStore:
                 prof.save(fh)
 
         self._write_atomic(self._path(key), _save)
-        self._remember_profile(key, prof)
+        self._remember_profile(memo_key, key, prof)
         return prof
 
-    def _remember_profile(self, key: str, prof: ReuseProfile) -> None:
-        self._profiles.pop(key, None)  # re-insert a hit as most recent
-        self._profiles[key] = prof
+    def _remember_profile(
+        self, memo_key: tuple, key: str, prof: ReuseProfile
+    ) -> None:
+        self._profiles.pop(memo_key, None)  # re-insert a hit as most recent
+        self._profiles[memo_key] = (key, prof)
         while len(self._profiles) > _MEMO_PROFILES:
             self._profiles.pop(next(iter(self._profiles)))
 
@@ -269,11 +290,11 @@ class TraceStore:
         """Simulated :class:`MemoryStats` for ``fields``, one per machine.
 
         Every price is a query of the trace's reuse profile
-        (:meth:`profile`): a few histogram suffix sums, bit-identical to
-        :func:`~repro.memsim.hierarchy.simulate_hierarchy` on the
-        expanded trace (property-tested against the :class:`LRUCache`
-        oracle).  So every machine after the first, or a warm re-run,
-        costs only the query; the result is not stored.
+        (:meth:`profile`): a few lookups in its precomputed miss tails,
+        bit-identical to :func:`~repro.memsim.hierarchy.simulate_hierarchy`
+        on the expanded trace (property-tested against the
+        :class:`LRUCache` oracle).  So every machine after the first, or
+        a warm re-run, costs only the query; the result is not stored.
         """
         prof = self.profile(fields, machines, build_trace)
         out = [prof.query(m, include_tlb=include_tlb) for m in machines]

@@ -129,7 +129,10 @@ def render_report(store=None) -> str:
     lines.append(f"root: {store.root}")
     hits, misses = c["profile_hits"], c["profile_misses"]
     rate = hits / (hits + misses) if hits + misses else 0.0
-    lines.append(f"profiles: {hits} hit / {misses} miss (hit rate {rate:.0%})")
+    lines.append(
+        f"profiles: {hits} hit / {misses} miss (hit rate {rate:.0%}), "
+        f"{c['profile_rebuilds']} rebuilt wider"
+    )
 
     counts = core.collector().counts()
     totals = core.collector().totals()

@@ -342,9 +342,46 @@ class TestProfileObject:
         assert loaded.family == prof.family
         assert loaded.accesses == prof.accesses
         assert sorted(loaded.l2) == sorted(prof.l2)
-        for a in (1, 2, 4, 8):
-            m = family_machine(a, 2, 8)
+        # The histograms are the stored form; the miss tails a query
+        # reads are derived again on load and price every family member
+        # within the caps as the built profile does.
+        assert np.array_equal(loaded.l1_hist, prof.l1_hist)
+        assert np.array_equal(loaded.tlb_hist, prof.tlb_hist)
+        for a, l2_assoc, tlb in itertools.product((1, 2, 4, 8), (1, 2), range(9)):
+            m = family_machine(a, l2_assoc, tlb)
             assert loaded.query(m) == prof.query(m)
+
+    def test_query_matches_histogram_suffix_sums(self):
+        """A directly constructed profile prices from its precomputed
+        miss tails exactly what summing the histograms' tails gives."""
+        rng = np.random.default_rng(41)
+        machine = family_machine()
+        hists = {
+            name: rng.integers(0, 1000, size, dtype=np.int64)
+            for name, size in (("l1", 9), ("tlb", 65), ("l2_1", 9), ("l2_4", 9))
+        }
+        prof = ReuseProfile(
+            machine.family, 10_000, hists["l1"], hists["tlb"],
+            {1: hists["l2_1"], 4: hists["l2_4"]},
+        )
+        for l1_assoc, l2_assoc, tlb, include_tlb in itertools.product(
+            (1, 4), range(1, 9), (0, 1, 16, 64), (True, False)
+        ):
+            m = family_machine(l1_assoc, l2_assoc, tlb)
+            l1_misses = int(hists["l1"][l1_assoc:].sum())
+            l2_misses = int(hists[f"l2_{l1_assoc}"][l2_assoc:].sum())
+            tlb_misses = (
+                int(hists["tlb"][tlb:].sum()) if include_tlb and tlb > 0 else 0
+            )
+            cycles = (
+                10_000 * m.l1_hit + l1_misses * m.l2_hit
+                + l2_misses * m.mem + tlb_misses * m.tlb_miss
+            )
+            assert prof.query(m, include_tlb=include_tlb) == MemoryStats(
+                10_000, l1_misses, l2_misses, tlb_misses, cycles
+            )
+        with pytest.raises(ValueError):
+            prof.query(family_machine(2))
 
     def test_version_skew_rejected(self):
         buf = io.BytesIO()

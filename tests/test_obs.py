@@ -209,8 +209,8 @@ class TestManifest:
         assert len(m["machine"]["sha256"]) == 64
         assert m["trace_cache"]["profile_hits"] == 0
         assert set(m["trace_cache"]) == {
-            "root", "profile_hits", "profile_misses", "touched_total",
-            "content_addresses",
+            "root", "profile_hits", "profile_misses", "profile_rebuilds",
+            "touched_total", "content_addresses",
         }
         path = obs.write_manifest(tmp_path / "m.json", m)
         loaded = json.loads(path.read_text())

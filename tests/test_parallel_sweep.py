@@ -34,7 +34,7 @@ from repro.analysis.parallel import (
 from repro.matrix.tile import TileRange
 from repro.memsim import store as store_mod
 from repro.memsim.machine import scaled, ultrasparc_like
-from repro.memsim.store import default_store
+from repro.memsim.store import TraceStore, cached_multiply_stats, default_store
 from repro.obs.core import SpanCollector
 from repro.obs.metrics import MetricsRegistry
 
@@ -222,7 +222,9 @@ class TestRunSweep:
         assert [m.l1.assoc for m in machines] == [1, 2]
         rows = run_point(points[0])
         assert [r["l1_assoc"] for r in rows] == [1, 2]
-        assert fresh_store.counters() == {"profile_hits": 0, "profile_misses": 1}
+        assert fresh_store.counters() == {
+            "profile_hits": 0, "profile_misses": 1, "profile_rebuilds": 0
+        }
 
 
 # -- worker-side plumbing (exercised in-process) -----------------------
@@ -239,7 +241,9 @@ class TestWorkerCall:
         # pure hit: counters are reset per task, so deltas are exact.
         assert payload["store_counters"]["profile_misses"] == 1
         again = par._worker_call(point)
-        assert again["store_counters"] == {"profile_hits": 1, "profile_misses": 0}
+        assert again["store_counters"] == {
+            "profile_hits": 1, "profile_misses": 0, "profile_rebuilds": 0
+        }
         assert all(v == "hit" for v in again["store_touched"].values())
         assert "spans" not in payload and "metrics" not in payload
 
@@ -385,3 +389,24 @@ class TestPooledObs:
             for line in f.read_text().splitlines()
         ]
         assert names.count("fig6sim.point") == len(points)
+
+    def test_worker_rebuild_is_summed_in_the_parent(self, fresh_store, obs_on):
+        """A worker that finds a stored profile too narrow for its grid
+        rebuilds it wider; that rebuild reaches the parent's store
+        counters and the merged metrics."""
+        points = GRIDS["fig6ms"]
+        kw = points[0].kwargs()
+        # Another handle on the same root stores LC's profile for the
+        # 1-way machine only; the parent's own memo stays empty.
+        cached_multiply_stats(
+            kw["algorithm"], kw["layout"], kw["n"], kw["tile"],
+            kw["machines"][:1], store=TraceStore(root=fresh_store.root),
+        )
+        obs.reset()
+        run_sweep(points, jobs=2)
+        assert fresh_store.counters() == {
+            "profile_hits": 0, "profile_misses": 2, "profile_rebuilds": 1
+        }
+        counters = obs.registry().snapshot()["counters"]
+        assert counters["memsim.store.profile_rebuilds"] == 1
+        assert counters["memsim.store.profile_misses"] == 2
