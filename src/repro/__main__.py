@@ -24,9 +24,9 @@ Examples::
     python -m repro report --run fig2 --order 2
     python -m repro staticcheck --algorithm hybrid --layout LH
     python -m repro lint --select I3 --select I5
-    python -m repro perf check --against BENCH_baseline.json
-    python -m repro perf compare latest BENCH_memsim.json
-    python -m repro perf history trace_synthesis.speedup
+    python -m repro perf check --against base.json --candidate cand.json
+    python -m repro perf compare base.json latest:serve
+    python -m repro perf history serve.request.p99
 
 Every run drops a provenance manifest (git SHA, seed, machine
 fingerprint, trace-cache content addresses) under

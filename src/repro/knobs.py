@@ -135,9 +135,9 @@ declare(
     "REPRO_PERF_HISTORY",
     "flag",
     True,
-    "Append a benchmark-history record (repro.perf) after perf_smoke "
-    "runs, CLI sweeps, and bench sessions; set to 0 to keep "
-    ".benchmarks/history untouched.",
+    "Append a benchmark-history record (repro.perf) after CLI sweeps, "
+    "bench sessions and `repro serve --append-history` sessions; set to "
+    "0 to keep .benchmarks/history untouched.",
 )
 declare(
     "REPRO_PERF_HISTORY_DIR",
@@ -171,14 +171,16 @@ declare(
 # ---------------------------------------------------------------------------
 # Performance budgets — the `perf_budgets` table behind `repro perf check`.
 #
-# Each entry declares, for one flattened BENCH_memsim.json metric key (or
-# an fnmatch pattern over keys), which direction is "better" and how much
+# Each entry declares, for one flattened perf-history record key (or an
+# fnmatch pattern over keys), which direction is "better" and how much
 # regression in the bad direction the gate tolerates before failing.
-# Direction "exact" marks *structural* metrics (event counts, stream
-# lengths) that are deterministic functions of the code and must match
-# the baseline bit-for-bit — these are the only keys gated under
-# REPRO_DETERMINISTIC_TIMING.  The repo lint (rule I6) enforces that
-# keys are unique and snake_case.
+# Direction "exact" marks *structural* metrics (row counts) that are
+# deterministic functions of the code and must match the baseline
+# bit-for-bit — these are the only keys gated under
+# REPRO_DETERMINISTIC_TIMING.  Both budgets gate `repro serve` session
+# records; the figure timings are gated by the end-to-end benchmark
+# (benchmarks/e2e/compare.py), not here.  The repo lint (rule I6)
+# enforces that keys are unique and snake_case.
 # ---------------------------------------------------------------------------
 
 #: Budget directions: which way a metric moves when things get better.
@@ -217,69 +219,6 @@ def declare_budget(
 
 
 declare_budget(
-    "engines.*.speedup",
-    "higher_better",
-    0.40,
-    "Vectorized-engine lead over the scalar reference simulators; the "
-    "repo's first hard-won perf result.",
-)
-declare_budget(
-    "engines.*.accesses_per_sec",
-    "higher_better",
-    0.60,
-    "Raw engine throughput (machine-dependent; the wide band absorbs "
-    "host differences, the speedup budgets catch code regressions).",
-)
-declare_budget(
-    "trace_synthesis.speedup",
-    "higher_better",
-    0.40,
-    "Symbolic trace synthesis vs the executed tracer on the fig6sim "
-    "grid (the PR 6 ~7x win).",
-)
-declare_budget(
-    "trace_synthesis.events_per_sec",
-    "higher_better",
-    0.60,
-    "Synthesis event-generation throughput.",
-)
-declare_budget(
-    "parallel_sweep.speedup",
-    "higher_better",
-    0.60,
-    "Process-pool sweep speedup over the serial path (only meaningful "
-    "on multi-core hosts; perf_smoke records it regardless).",
-)
-declare_budget(
-    "trace.expand_seconds",
-    "lower_better",
-    2.0,
-    "Trace build (synthesis + expansion) of the standard/LZ n=256 "
-    "multiply, the work a profile miss pays before its build "
-    "(dominated by one-off work; generous band).",
-)
-declare_budget(
-    "trace.warm_expand_seconds",
-    "lower_better",
-    2.0,
-    "Warm-store read of that trace's reuse profile (.npz) by a fresh "
-    "store handle — the cache-hit path must stay cheap.",
-)
-declare_budget(
-    "trace.accesses",
-    "exact",
-    0.0,
-    "Structural: length of the expanded n=256 address stream; a change "
-    "means the tracer or tiling changed, not the hardware.",
-)
-declare_budget(
-    "trace_synthesis.events",
-    "exact",
-    0.0,
-    "Structural: symbolic event count over the fig6sim grid; must be "
-    "byte-identical to the executed tracer's.",
-)
-declare_budget(
     "serve.request.p99",
     "lower_better",
     2.0,
@@ -294,21 +233,6 @@ declare_budget(
     "Structural: total sweep rows served across a fixed service-session "
     "workload; the only serve key gated under "
     "REPRO_DETERMINISTIC_TIMING, bit-for-bit.",
-)
-declare_budget(
-    "multiconfig.speedup",
-    "higher_better",
-    0.40,
-    "Build-once-query-many reuse-distance profile vs per-config "
-    "streaming replay over the perf_smoke machine grid.",
-)
-declare_budget(
-    "multiconfig.total_misses",
-    "exact",
-    0.0,
-    "Structural: total profile-derived misses (L1+L2+TLB) summed over "
-    "the perf_smoke machine grid; must match the streaming simulators "
-    "bit-for-bit.",
 )
 
 

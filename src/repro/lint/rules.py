@@ -5,8 +5,8 @@ Rules
 
 I1  The scalar reference cache simulators (``simulate_lru``,
     ``LRUCache``) must not be *called* outside the cache module itself,
-    the vectorized engines that validate against them, tests, and the
-    perf smoke script.  Everything else must go through the vectorized
+    the vectorized engines that validate against them, tests, and
+    benchmarks.  Everything else must go through the vectorized
     engines (:mod:`repro.memsim.engines`) — a scalar simulator call on a
     hot path silently turns an O(n) sweep into hours.
 
@@ -20,8 +20,8 @@ I2  ``np.argsort`` / ``np.sort`` in order-sensitive modules
 I3  No direct ``time.time`` / ``time.perf_counter`` (or ``monotonic`` /
     ``process_time``) outside :mod:`repro.clock`.  The clock module is
     the determinism seam: ``REPRO_DETERMINISTIC_TIMING`` zeroes
-    measurements only if every reader goes through it.  Benchmarks and
-    the perf smoke script measure real time by design and are exempt.
+    measurements only if every reader goes through it.  Benchmarks
+    measure real time by design and are exempt.
 
 I4  Every ``REPRO_*`` environment-knob name appearing anywhere in the
     source must be declared in :mod:`repro.knobs` (kind, default, doc),
@@ -108,7 +108,6 @@ class ScalarSimRule(Rule):
         {
             "src/repro/memsim/cache.py",
             "src/repro/memsim/engines.py",
-            "scripts/perf_smoke.py",
         }
     )
 
@@ -196,7 +195,7 @@ class NoDirectTimeRule(Rule):
     )
     allow_dirs: ClassVar[tuple[str, ...]] = ("benchmarks",)
     allowlist: ClassVar[frozenset[str]] = frozenset(
-        {"src/repro/clock.py", "scripts/perf_smoke.py"}
+        {"src/repro/clock.py"}
     )
 
     _FUNCS = frozenset({"time", "perf_counter", "monotonic", "process_time"})
@@ -264,7 +263,7 @@ class NoBareEnvironRule(Rule):
     name: ClassVar[str] = "I5"
     summary: ClassVar[str] = "no bare os.environ reads outside repro.knobs"
     allowlist: ClassVar[frozenset[str]] = frozenset(
-        {"src/repro/knobs.py", "scripts/perf_smoke.py"}
+        {"src/repro/knobs.py"}
     )
 
     _READ_METHODS = frozenset(

@@ -15,9 +15,11 @@ profile is found in memory by the value of what its key covers; the
 sha256 content key is derived only when that memo misses, to find the
 ``.npz``.  A profile is built at the caps of the machines asked for
 together (one direct-mapped machine: one cheap pass; a fig6ms grid: its
-union); a later machine beyond them rebuilds it at the stored caps
-widened by the new request (counted as ``profile_rebuilds``, and as a
-miss), so a rebuild never narrows what a profile prices.
+union).  A memoized profile too narrow for a later machine is checked
+against the ``.npz`` first, which another handle may have widened; when
+neither prices the machine, the profile is rebuilt at their caps widened
+by the new request (counted as ``profile_rebuilds``, and as a miss), so
+a rebuild never narrows what a profile prices.
 
 The expanded address trace itself is never persisted: a profile miss
 rebuilds it (:meth:`TraceStore.trace`), profiles it and drops it.
@@ -238,31 +240,36 @@ class TraceStore:
         the item size.  So a warm hit derives no key; the sha256 key is
         computed on a memo miss, to find the ``.npz``.  A miss rebuilds
         the trace with ``build_trace`` and profiles it at the machines'
-        caps.  A memoized or stored profile that cannot price every
-        machine (an L1 associativity is missing, or an associativity or
-        TLB size exceeds its caps) counts as a miss and a rebuild, and
-        is rebuilt at its own caps widened by the request.
+        caps.  A profile that cannot price every machine (an L1
+        associativity is missing, or an associativity or TLB size
+        exceeds its caps) is too narrow.  A too-narrow memo entry sends
+        the lookup on to the ``.npz``, which another handle or a pool
+        worker may have widened since; when that cannot price the
+        request either, it counts as a miss and a rebuild, at the caps
+        of both widened by the request.
         """
         head = machines[0]
         memo_key = (tuple(fields.items()), head.family, head.itemsize)
         memo = self._profiles.get(memo_key)
         key, prof = memo if memo else (_profile_key(fields, head), None)
-        if prof is None and self._path(key).exists():
-            try:
-                with open(self._path(key), "rb") as fh:
-                    prof = ReuseProfile.load(fh)
-            except _DAMAGED:
-                prof = None  # corrupt/partial file: rebuild below
-        if prof is not None and all(map(prof.supports, machines)):
+        narrow: list[ReuseProfile] = []
+        if prof is not None and not all(map(prof.supports, machines)):
+            narrow, prof = [prof], None
+        if prof is None:
+            prof = self._load(key)
+            if prof is not None and not all(map(prof.supports, machines)):
+                narrow, prof = [*narrow, prof], None
+        if prof is not None:
             self._touch(key, hit=True)
             self._remember_profile(memo_key, key, prof)
             return prof
         self._touch(key, hit=False)
-        if prof is not None:
+        if narrow:
             self.profile_rebuilds += 1
             obs.add("memsim.store.profile_rebuilds")
         addrs = self.trace(fields, build_trace)
-        prof = build_profile(addrs, [*machines, *(prof.reach() if prof else ())])
+        reach = [m for p in narrow for m in p.reach()]
+        prof = build_profile(addrs, [*machines, *reach])
 
         def _save(tmp: Path) -> None:
             with open(tmp, "wb") as fh:
@@ -271,6 +278,17 @@ class TraceStore:
         self._write_atomic(self._path(key), _save)
         self._remember_profile(memo_key, key, prof)
         return prof
+
+    def _load(self, key: str) -> ReuseProfile | None:
+        """The stored profile under ``key``, or None when there is none
+        or it is damaged (a corrupt or partial file is rebuilt)."""
+        if not self._path(key).exists():
+            return None
+        try:
+            with open(self._path(key), "rb") as fh:
+                return ReuseProfile.load(fh)
+        except _DAMAGED:
+            return None
 
     def _remember_profile(
         self, memo_key: tuple, key: str, prof: ReuseProfile

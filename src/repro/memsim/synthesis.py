@@ -34,8 +34,9 @@ every algorithm x layout pair).
 
 Synthesis is the only production trace source.  The executed tracer
 stays as the oracle the tests, the sanitizer and the static checker
-compare against, and as the trace store's fallback for algorithms
-without a spec (:class:`UnsupportedSynthesis`).
+compare against; it is no fallback.  An algorithm without a spec raises
+:class:`UnsupportedSynthesis`, which reaches the caller (the static
+checker raises it too).
 """
 
 from __future__ import annotations
@@ -631,7 +632,7 @@ def synthesize_multiply(
     :func:`repro.memsim.trace.trace_multiply`: same tiling policy, same
     event sequence, byte-identical expanded address stream — without
     executing the multiply.  Raises :class:`UnsupportedSynthesis` for
-    algorithms without a spec (callers fall back to the executed path).
+    algorithms without a spec; nothing falls back to the executed path.
     """
     try:
         spec = SPEC_BUILDERS[algorithm](mode)

@@ -17,11 +17,12 @@ on — is modelled exactly.
 
 Production traces come from the symbolic synthesizer
 (:mod:`repro.memsim.synthesis`), which reproduces this module's output
-byte for byte without executing the multiply.  The executed path here
-is the oracle it is tested against; it also feeds the determinacy-race
-sanitizer and the static checker's cross-checks, which need real
-buffers and SP-tree tasks, and backs the trace store's fallback for
-algorithms the synthesizer has no spec for.
+byte for byte without executing the multiply, and the only production
+trace source: an algorithm it has no spec for raises
+:class:`~repro.memsim.synthesis.UnsupportedSynthesis` to the caller.
+The executed path here is the oracle it is tested against; it also feeds
+the determinacy-race sanitizer and the static checker's cross-checks,
+which need real buffers and SP-tree tasks.
 """
 
 from __future__ import annotations

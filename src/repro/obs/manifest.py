@@ -2,8 +2,8 @@
 
 Every number this repo produces is a function of (code, seed, machine
 model, cached profiles and stats).  A manifest pins all four next to
-the output so a ``BENCH_*.json`` or a printed figure can be traced back
-to the exact configuration that produced it:
+the output so a perf-history record or a printed figure can be traced
+back to the exact configuration that produced it:
 
 * ``git`` — commit SHA and dirty flag (best-effort; absent outside a
   work tree or without a ``git`` binary);

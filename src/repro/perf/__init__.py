@@ -6,7 +6,7 @@ current one gave anything back:
 
 * :mod:`repro.perf.history` — append-only, content-addressed benchmark
   history under ``.benchmarks/history/*.jsonl`` (one provenance-linked
-  record per ``perf_smoke`` run / CLI sweep / bench session);
+  record per CLI sweep / bench session / ``repro serve`` session);
 * :mod:`repro.perf.compare` — differential analysis with MAD-based
   noise tolerance bands and exact matching for structural metrics;
 * :mod:`repro.perf.cli` — ``python -m repro perf compare|check|history``,
@@ -17,7 +17,6 @@ current one gave anything back:
 """
 
 from repro.perf.compare import (
-    as_record,
     best_of,
     compare_records,
     compare_spans,
@@ -33,7 +32,6 @@ from repro.perf.history import (
     default_history_dir,
     flatten_metrics,
     history_enabled,
-    record_from_bench,
     record_from_obs,
     span_self_times,
 )
@@ -41,7 +39,6 @@ from repro.perf.history import (
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "HistoryStore",
-    "as_record",
     "as_stream_name",
     "best_of",
     "build_record",
@@ -51,7 +48,6 @@ __all__ = [
     "flatten_metrics",
     "history_enabled",
     "noise_band",
-    "record_from_bench",
     "record_from_obs",
     "render_comparison",
     "render_span_diff",

@@ -4,10 +4,9 @@ Three surfaces over the history store and the differential engine:
 
 * ``repro perf compare A B`` — align two runs (files, history record-id
   prefixes, or ``latest``) and print the classified delta table;
-* ``repro perf check`` — the regression gate: candidate (default the
-  ``BENCH_memsim.json`` "latest" view) against the committed
-  ``BENCH_baseline.json``, exit 1 when any budgeted metric regresses
-  past its ``perf_budgets`` allowance;
+* ``repro perf check --against A --candidate B`` — the regression gate:
+  exit 1 when any budgeted metric of B regresses past its
+  ``perf_budgets`` allowance over A;
 * ``repro perf history KEY`` — the trajectory of one metric across the
   append-only store, as a table plus a unicode sparkline.
 """
@@ -26,7 +25,6 @@ from repro.perf.compare import (
     render_span_diff,
 )
 from repro.perf.history import HistoryStore, as_stream_name, build_record
-from repro.perf.history import _repo_root as repo_root
 
 __all__ = [
     "add_perf_parser",
@@ -51,8 +49,6 @@ def sparkline(values: list[float]) -> str:
 def resolve_run(spec: str, store: HistoryStore) -> dict:
     """A run record from a CLI spec: path, ``latest[:stream]``, or a
     history record-id prefix."""
-    from repro.perf.compare import as_record
-
     if spec == "latest" or spec.startswith("latest:"):
         stream = spec.partition(":")[2] or None
         recs = store.latest(stream=stream)
@@ -69,12 +65,9 @@ def resolve_run(spec: str, store: HistoryStore) -> dict:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SystemExit(f"perf: {path} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise SystemExit(f"perf: {path} does not hold a JSON object")
-        # A BENCH-shaped file is perf_smoke's "latest" view; keep its
-        # records on the perf_smoke stream so noise bands line up.
-        source = "perf_smoke" if "engines" in data else path.name
-        return as_record(data, source=source)
+        if not isinstance(data, dict) or not isinstance(data.get("metrics"), dict):
+            raise SystemExit(f"perf: {path} does not hold a perf-history record")
+        return data
     rec = store.find(spec)
     if rec is None:
         raise SystemExit(
@@ -155,11 +148,9 @@ def cmd_perf_compare(args: argparse.Namespace) -> None:
 
 def cmd_perf_check(args: argparse.Namespace) -> None:
     store = HistoryStore(args.history_dir)
-    default_candidate = repo_root() / "BENCH_memsim.json"
-    candidate_spec = args.candidate or str(default_candidate)
     baseline = resolve_run(args.against, store)
-    candidate = resolve_run(candidate_spec, store)
-    stream = as_stream_name(candidate.get("source") or "perf_smoke")
+    candidate = resolve_run(args.candidate, store)
+    stream = as_stream_name(candidate.get("source") or "")
     candidate = _apply_window(candidate, store, stream, args.window)
     comparison = compare_records(
         baseline, candidate, history=_load_history(store, stream) or None
@@ -229,10 +220,10 @@ def add_perf_parser(sub) -> None:
         "check",
         help="regression gate: candidate vs baseline under perf_budgets",
     )
-    s.add_argument("--against", default=str(repo_root() / "BENCH_baseline.json"),
-                   help="baseline run (default: the committed BENCH_baseline.json)")
-    s.add_argument("--candidate", default=None,
-                   help="candidate run (default: BENCH_memsim.json)")
+    s.add_argument("--against", required=True,
+                   help="baseline run (path | latest[:stream] | id)")
+    s.add_argument("--candidate", required=True,
+                   help="candidate run (path | latest[:stream] | id)")
     s.add_argument("--window", type=int, default=1, metavar="K",
                    help="repeat-sample reduction: best-of-K over the "
                         "candidate plus the last K-1 history records")
@@ -247,9 +238,9 @@ def add_perf_parser(sub) -> None:
     s = perf_sub.add_parser(
         "history", help="print one metric's trajectory from the store"
     )
-    s.add_argument("key", help="flattened metric key, e.g. trace_synthesis.speedup")
+    s.add_argument("key", help="flattened metric key, e.g. serve.request.p99")
     s.add_argument("--stream", default=None,
-                   help="restrict to one stream (perf_smoke | cli | benchmarks)")
+                   help="restrict to one stream (cli | benchmarks | serve)")
     s.add_argument("--limit", type=int, default=0, metavar="N",
                    help="show only the last N samples")
     s.add_argument("--history-dir", default=None,

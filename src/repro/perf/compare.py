@@ -1,6 +1,6 @@
 """Differential analysis over benchmark history records.
 
-Aligns two runs (typically candidate-vs-committed-baseline) by flattened
+Aligns two runs (a candidate and its baseline record) by flattened
 metric key, computes deltas, and classifies each key as ``improved`` /
 ``unchanged`` / ``regressed`` (plus ``added`` / ``removed`` for keys one
 side never measured).  A key with no budget and no direction that its
@@ -8,17 +8,16 @@ name implies (a time, a rate or a speedup) — a hit count, say — is only
 ``changed`` or ``unchanged``: nothing says which way is better.  Two
 mechanisms keep the classification honest:
 
-* **Noise-aware tolerance bands.**  Benchmark numbers come from
-  best-of-k timing (``perf_smoke`` records min-of-3), but run-to-run
-  spread survives.  When the history store holds enough samples of a
+* **Noise-aware tolerance bands.**  Run-to-run spread survives any
+  timing discipline.  When the history store holds enough samples of a
   key, the band is derived from the median absolute deviation of the
   trajectory (``MAD_K * 1.4826 * MAD / |median|``, a robust sigma),
   floored at ``REL_FLOOR``; with a thin history the floor alone
   applies.  A delta inside the band is ``unchanged``.
 
 * **Structural metrics are exact.**  Keys whose budget direction is
-  ``exact`` (event counts, stream lengths) are deterministic functions
-  of the code: any difference is a regression, no band.  Under
+  ``exact`` (row counts) are deterministic functions of the code: any
+  difference is a regression, no band.  Under
   ``REPRO_DETERMINISTIC_TIMING`` these are the *only* gated keys —
   timing-derived keys are classified but reported as ``skipped`` for
   gating purposes, because that mode exists precisely to make runs
@@ -37,13 +36,11 @@ import statistics
 
 from repro import knobs
 from repro.clock import deterministic_timing
-from repro.perf.history import record_from_bench
 
 __all__ = [
     "COMPARISON_SCHEMA_VERSION",
     "MAD_K",
     "REL_FLOOR",
-    "as_record",
     "best_of",
     "compare_records",
     "compare_spans",
@@ -62,17 +59,6 @@ MAD_K = 3.0
 
 #: Minimum history samples before the MAD band overrides the floor.
 MIN_SAMPLES = 4
-
-
-def as_record(run: dict, *, source: str = "adhoc") -> dict:
-    """Coerce a loose run dict into history-record shape.
-
-    Accepts either a history record (has ``metrics``) or a raw
-    ``BENCH_memsim.json``-shaped dict (flattened on the fly).
-    """
-    if "metrics" in run and isinstance(run["metrics"], dict):
-        return run
-    return record_from_bench(run, source=source)
 
 
 def noise_band(samples: list[float]) -> float:
@@ -196,8 +182,6 @@ def compare_records(
     trajectory of the candidate's stream).  ``structural_only`` defaults
     to the live ``REPRO_DETERMINISTIC_TIMING`` knob.
     """
-    baseline = as_record(baseline, source="baseline")
-    candidate = as_record(candidate, source="candidate")
     if structural_only is None:
         structural_only = deterministic_timing()
     base_metrics = baseline.get("metrics", {})

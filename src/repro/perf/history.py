@@ -1,12 +1,11 @@
 """Append-only, content-addressed benchmark history store.
 
-``BENCH_memsim.json`` is a single overwritten snapshot — useful as the
-"latest" view, useless as a trajectory.  This module gives every
-benchmark-producing entry point (``scripts/perf_smoke.py``, the
-``python -m repro`` sweep drivers, the pytest-benchmark session) a
-durable append target: one JSON record per run, one JSONL stream per
-source, under ``.benchmarks/history/`` (``REPRO_PERF_HISTORY_DIR``
-relocates it; ``REPRO_PERF_HISTORY=0`` disables appending entirely).
+This module gives every benchmark-producing entry point (the ``python
+-m repro`` sweep drivers, the pytest-benchmark session, ``repro serve
+--append-history``) a durable append target: one JSON record per run,
+one JSONL stream per source, under ``.benchmarks/history/``
+(``REPRO_PERF_HISTORY_DIR`` relocates it; ``REPRO_PERF_HISTORY=0``
+disables appending entirely).
 
 A record is *content-addressed*: ``record_id`` is the sha256 over the
 canonical JSON of its stable payload (flattened metrics, span
@@ -17,10 +16,8 @@ conceptually even though every run still appends (the trajectory keeps
 noise samples — that is what the MAD tolerance bands in
 :mod:`repro.perf.compare` feed on).
 
-Metrics are *flattened*: nested ``BENCH_memsim.json`` sections become
-dotted snake_case keys (``engines.set_associative_8way.speedup``),
-keeping only numeric scalar leaves.  The ``provenance`` section is
-folded into the manifest core instead of the metric namespace.
+Metrics are *flattened*: nested sections become dotted snake_case keys
+(``serve.request.p99``), keeping only numeric scalar leaves.
 """
 
 from __future__ import annotations
@@ -42,16 +39,12 @@ __all__ = [
     "flatten_metrics",
     "history_enabled",
     "manifest_core",
-    "record_from_bench",
     "record_from_obs",
     "record_id",
     "span_self_times",
 ]
 
 HISTORY_SCHEMA_VERSION = 1
-
-#: BENCH sections that are provenance, not metrics.
-_NON_METRIC_SECTIONS = frozenset({"provenance"})
 
 #: Manifest fields that survive into the record's content address
 #: (everything volatile — timestamps, argv, touched cache keys — is
@@ -84,22 +77,17 @@ def history_enabled() -> bool:
     return knobs.flag("REPRO_PERF_HISTORY")
 
 
-def flatten_metrics(
-    data: dict, prefix: str = "", skip: frozenset[str] = _NON_METRIC_SECTIONS
-) -> dict[str, float]:
+def flatten_metrics(data: dict, prefix: str = "") -> dict[str, float]:
     """Flatten nested dicts to dotted keys, keeping numeric scalar leaves.
 
     Lists, strings, booleans and None are dropped — a metric is a number
-    with a stable name.  Top-level sections named in ``skip`` (the
-    provenance blob) are excluded wholesale.
+    with a stable name.
     """
     out: dict[str, float] = {}
     for key, value in data.items():
-        if not prefix and key in skip:
-            continue
         dotted = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(value, dict):
-            out.update(flatten_metrics(value, prefix=dotted, skip=frozenset()))
+            out.update(flatten_metrics(value, prefix=dotted))
         elif isinstance(value, bool) or value is None:
             continue
         elif isinstance(value, (int, float)):
@@ -165,22 +153,6 @@ def build_record(
     }
 
 
-def record_from_bench(
-    bench: dict, *, source: str = "perf_smoke", spans: list[dict] | None = None
-) -> dict:
-    """History record from a ``BENCH_memsim.json``-shaped dict.
-
-    The ``provenance`` section (when present) becomes the manifest core;
-    everything else flattens into the metric namespace.
-    """
-    return build_record(
-        flatten_metrics(bench),
-        source=source,
-        manifest=bench.get("provenance"),
-        spans=span_self_times(spans) if spans else None,
-    )
-
-
 def record_from_obs(
     *, source: str, manifest: dict | None = None, extra_metrics: dict | None = None
 ) -> dict:
@@ -232,7 +204,7 @@ class HistoryStore:
             return []
         return sorted(p.stem for p in self.root.glob("*.jsonl"))
 
-    def append(self, record: dict, stream: str = "perf_smoke") -> Path:
+    def append(self, record: dict, stream: str) -> Path:
         """Append one record (one line); returns the stream path.
 
         Appends are atomic at the line level: the record is serialized

@@ -12,7 +12,7 @@ from repro.lint import (
     report_to_json,
     run_lint,
 )
-from repro.lint.core import SCAN_DIRS, Rule, register
+from repro.lint.core import SCAN_DIRS, Rule, register, repo_root
 
 
 def check(rule_name: str, source: str, path: str = "src/repro/x.py"):
@@ -147,6 +147,14 @@ class TestRunLint:
 
     def test_scan_dirs_unchanged(self):
         assert SCAN_DIRS == ("src", "scripts", "benchmarks")
+
+    def test_exemptions_name_existing_paths(self):
+        root = repo_root()
+        for rule in all_rules().values():
+            for path in rule.allowlist:
+                assert (root / path).is_file(), f"{rule.name}: {path}"
+            for path in rule.allow_dirs:
+                assert (root / path).is_dir(), f"{rule.name}: {path}"
 
 
 class TestReporters:

@@ -196,6 +196,19 @@ class TestCaps:
         ]
         assert fresh.counters()["profile_misses"] == 0
 
+    def test_file_widened_by_another_handle_is_a_hit(self, store, builds):
+        """A memo entry too narrow for a request reads the ``.npz``
+        before rebuilding: another handle may have widened it."""
+        narrow, wide = assoc_scaled(1, 1, 8), assoc_scaled(8, 4, 32)
+        fields, build = _assoc_fields_build(narrow)
+        store.profile(fields, [narrow], build)
+        TraceStore(root=store.root).profile(fields, [wide], build)
+        store.reset_counters()
+        prof = store.profile(fields, [wide], build)
+        assert store.counters() == _counts(1, 0)
+        assert len(builds) == 1
+        assert prof.supports(narrow) and prof.supports(wide)
+
     def test_zero_entry_tlb_prices_no_tlb_misses(self, store):
         no_tlb = dataclasses.replace(MACH, tlb_entries=0)
         (st,) = cached_multiply_stats("standard", "LZ", 32, 8, [no_tlb], store=store)

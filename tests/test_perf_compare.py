@@ -15,44 +15,55 @@ from repro.perf.compare import (
     render_comparison,
     render_span_diff,
 )
-from repro.perf.history import HistoryStore, build_record, record_from_bench
+from repro.perf.history import HistoryStore, build_record
 
-BENCH = {
-    "trace": {"accesses": 1000, "expand_seconds": 1.25,
-              "warm_expand_seconds": 0.01},
-    "engines": {
-        "set_associative_8way": {"speedup": 10.0, "accesses_per_sec": 5.0e6},
-    },
-    "trace_synthesis": {"events": 500, "speedup": 7.0},
-    "parallel_sweep": {"speedup": 2.0},
-    "provenance": {"git": {"sha": "abc123"}, "machine": {"sha256": "m1"}},
+MANIFEST = {"git": {"sha": "abc123"}, "machine": {"sha256": "m1"}}
+METRICS = {
+    "serve.request.p99": 1.25,
+    "serve.sweep.rows": 1000,
+    "engines.set_associative_8way.speedup": 10.0,
+    "trace_cache.profile_hits": 8,
 }
+RECORD = build_record(METRICS, source="serve:session", manifest=MANIFEST)
+
+#: A higher-better glob budget, which the declared table (two serve
+#: budgets) lacks; tests that gate a ratio add it for their duration.
+SPEEDUP = knobs.PerfBudget(
+    "engines.*.speedup", "higher_better", 0.40, "test-local ratio budget"
+)
+
+
+@pytest.fixture
+def speedup_budget(monkeypatch):
+    monkeypatch.setitem(knobs.PERF_BUDGETS, SPEEDUP.key, SPEEDUP)
 
 
 def perturbed(factor_key: str, factor: float) -> dict:
-    """BENCH with one flattened metric multiplied by ``factor``."""
-    rec = record_from_bench(BENCH)
-    metrics = dict(rec["metrics"])
+    """RECORD with one metric multiplied by ``factor``."""
+    metrics = dict(RECORD["metrics"])
     metrics[factor_key] = metrics[factor_key] * factor
-    return build_record(metrics, source="perf_smoke",
-                        manifest={"git": {"sha": "abc123"},
-                                  "machine": {"sha256": "m1"}})
+    return build_record(metrics, source="serve:session", manifest=MANIFEST)
+
+
+def write_record(path, record: dict):
+    path.write_text(json.dumps(record))
+    return path
 
 
 class TestBudgets:
     def test_budget_table_declared(self):
         budgets = knobs.declared_budgets()
-        assert "trace.expand_seconds" in budgets
-        assert budgets["trace.accesses"].direction == "exact"
+        assert list(budgets) == ["serve.request.p99", "serve.sweep.rows"]
+        assert budgets["serve.sweep.rows"].direction == "exact"
 
-    def test_glob_lookup_exact_wins(self):
+    def test_glob_lookup_exact_wins(self, speedup_budget):
         b = knobs.budget_for("engines.set_associative_8way.speedup")
         assert b is not None and b.direction == "higher_better"
         assert knobs.budget_for("no.such.key") is None
 
     def test_declare_budget_validates(self):
         with pytest.raises(ValueError):
-            knobs.declare_budget("trace.accesses", direction="exact",
+            knobs.declare_budget("serve.sweep.rows", direction="exact",
                                  max_regression=0.0, doc="dup")
         with pytest.raises(ValueError):
             knobs.declare_budget("x.y", direction="sideways",
@@ -84,29 +95,29 @@ class TestNoiseBands:
 
 class TestCompare:
     def test_identical_runs_pass(self):
-        rec = record_from_bench(BENCH)
+        rec = RECORD
         cmp_ = compare_records(rec, rec, structural_only=False)
         assert cmp_["ok"]
         assert cmp_["summary"]["regressed"] == 0
         assert cmp_["summary"]["over_budget"] == []
 
     def test_injected_slowdown_flags_offending_key(self):
-        rec = record_from_bench(BENCH)
-        # The cold-expand budget is 2.0 (a 200% allowance for cold-cache
-        # noise): a 2x slowdown is flagged as regressed with the key
-        # named, but stays inside the budget...
-        slow = perturbed("trace.expand_seconds", 2.0)
+        rec = RECORD
+        # The p99 latency budget is 2.0 (a 200% allowance for host
+        # scheduling noise): a 2x slowdown is flagged as regressed with
+        # the key named, but stays inside the budget...
+        slow = perturbed("serve.request.p99", 2.0)
         cmp_ = compare_records(rec, slow, structural_only=False)
         assert cmp_["ok"]
-        assert cmp_["keys"]["trace.expand_seconds"]["class"] == "regressed"
+        assert cmp_["keys"]["serve.request.p99"]["class"] == "regressed"
         # ...while a 4x slowdown bursts the budget and fails the gate.
-        very_slow = perturbed("trace.expand_seconds", 4.0)
+        very_slow = perturbed("serve.request.p99", 4.0)
         cmp2 = compare_records(rec, very_slow, structural_only=False)
         assert not cmp2["ok"]
-        assert "trace.expand_seconds" in cmp2["summary"]["over_budget"]
+        assert "serve.request.p99" in cmp2["summary"]["over_budget"]
 
-    def test_halved_speedup_gates(self):
-        rec = record_from_bench(BENCH)
+    def test_halved_speedup_gates(self, speedup_budget):
+        rec = RECORD
         bad = perturbed("engines.set_associative_8way.speedup", 0.5)
         cmp_ = compare_records(rec, bad, structural_only=False)
         assert not cmp_["ok"]
@@ -115,30 +126,30 @@ class TestCompare:
         ]
 
     def test_improvement_never_gates(self):
-        rec = record_from_bench(BENCH)
-        fast = perturbed("trace.expand_seconds", 0.25)
+        rec = RECORD
+        fast = perturbed("serve.request.p99", 0.25)
         cmp_ = compare_records(rec, fast, structural_only=False)
         assert cmp_["ok"]
-        assert cmp_["keys"]["trace.expand_seconds"]["class"] == "improved"
+        assert cmp_["keys"]["serve.request.p99"]["class"] == "improved"
 
     def test_structural_mismatch_always_gates(self):
-        rec = record_from_bench(BENCH)
-        drifted = perturbed("trace.accesses", 1.001)
+        rec = RECORD
+        drifted = perturbed("serve.sweep.rows", 1.001)
         for structural_only in (False, True):
             cmp_ = compare_records(rec, drifted,
                                    structural_only=structural_only)
             assert not cmp_["ok"]
-            assert "trace.accesses" in cmp_["summary"]["over_budget"]
-            assert cmp_["keys"]["trace.accesses"]["class"] == "regressed"
+            assert "serve.sweep.rows" in cmp_["summary"]["over_budget"]
+            assert cmp_["keys"]["serve.sweep.rows"]["class"] == "regressed"
 
     def test_deterministic_timing_skips_timing_keys(self):
-        rec = record_from_bench(BENCH)
-        slow = perturbed("trace.expand_seconds", 100.0)
+        rec = RECORD
+        slow = perturbed("serve.request.p99", 100.0)
         cmp_ = compare_records(rec, slow, structural_only=True)
         assert cmp_["ok"], "timing keys must not gate in deterministic mode"
-        assert cmp_["keys"]["trace.expand_seconds"]["class"] == "skipped"
+        assert cmp_["keys"]["serve.request.p99"]["class"] == "skipped"
         # structural keys still compare exactly
-        assert cmp_["keys"]["trace.accesses"]["class"] == "unchanged"
+        assert cmp_["keys"]["serve.sweep.rows"]["class"] == "unchanged"
 
     def test_undirected_keys_read_changed(self):
         """A key with no budget whose name implies no direction (a hit
@@ -185,8 +196,8 @@ class TestCompare:
         cmp_ = compare_records(a, b, structural_only=False)
         assert any("machine" in note for note in cmp_["notes"])
 
-    def test_render_comparison_smoke(self):
-        rec = record_from_bench(BENCH)
+    def test_render_comparison_smoke(self, speedup_budget):
+        rec = RECORD
         bad = perturbed("engines.set_associative_8way.speedup", 0.5)
         text = render_comparison(compare_records(rec, bad,
                                                  structural_only=False))
@@ -206,15 +217,14 @@ class TestCompare:
 class TestRoundTrip:
     """The acceptance loop: append -> compare -> history."""
 
-    def test_append_compare_history(self, tmp_path, monkeypatch, capsys):
+    def test_append_compare_history(self, tmp_path, monkeypatch, capsys,
+                                    speedup_budget):
         monkeypatch.setenv("REPRO_PERF_HISTORY_DIR", str(tmp_path))
-        baseline_path = tmp_path / "BENCH_baseline.json"
-        baseline_path.write_text(json.dumps(BENCH))
-        candidate_path = tmp_path / "BENCH_memsim.json"
-        candidate_path.write_text(json.dumps(BENCH))
+        baseline_path = write_record(tmp_path / "base.json", RECORD)
+        candidate_path = write_record(tmp_path / "cand.json", RECORD)
 
         store = HistoryStore(tmp_path)
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
+        store.append(RECORD, stream="serve")
 
         # identical runs: gate passes (exit 0 / no SystemExit)
         assert main(["perf", "check", "--against", str(baseline_path),
@@ -226,14 +236,13 @@ class TestRoundTrip:
         assert comparison["ok"]
 
         # history gained the record and serves the trajectory
-        assert len(store.load("perf_smoke")) == 1
-        series = store.series("trace_synthesis.speedup")
-        assert [p["value"] for p in series] == [7.0]
+        assert len(store.load("serve")) == 1
+        series = store.series("engines.set_associative_8way.speedup")
+        assert [p["value"] for p in series] == [10.0]
 
         # injected 2x slowdown on a gated ratio: gate fails, JSON names key
-        bad = dict(json.loads(candidate_path.read_text()))
-        bad["engines"]["set_associative_8way"]["speedup"] = 5.0
-        candidate_path.write_text(json.dumps(bad))
+        write_record(candidate_path,
+                     perturbed("engines.set_associative_8way.speedup", 0.5))
         with pytest.raises(SystemExit) as exc:
             main(["perf", "check", "--against", str(baseline_path),
                   "--candidate", str(candidate_path), "--json"])
@@ -247,7 +256,7 @@ class TestRoundTrip:
     def test_perf_compare_latest(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_PERF_HISTORY_DIR", str(tmp_path))
         store = HistoryStore(tmp_path)
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
+        store.append(RECORD, stream="serve")
         assert main(["perf", "compare", "latest", "latest"]) == 0
         assert "perf comparison" in capsys.readouterr().out
 
@@ -255,10 +264,10 @@ class TestRoundTrip:
         monkeypatch.setenv("REPRO_PERF_HISTORY_DIR", str(tmp_path))
         store = HistoryStore(tmp_path)
         for v in (6.0, 7.0, 8.0):
-            rec = build_record({"trace_synthesis.speedup": v}, source="perf_smoke")
+            rec = build_record({"serve.request.p99": v}, source="serve:session")
             rec["created_unix"] = v
-            store.append(rec, stream="perf_smoke")
-        assert main(["perf", "history", "trace_synthesis.speedup"]) == 0
+            store.append(rec, stream="serve")
+        assert main(["perf", "history", "serve.request.p99"]) == 0
         out = capsys.readouterr().out
         assert "3 samples" in out and "8" in out
 
@@ -269,15 +278,12 @@ class TestRoundTrip:
 
     def test_check_window_takes_best_sample(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_HISTORY_DIR", str(tmp_path))
-        baseline_path = tmp_path / "BENCH_baseline.json"
-        baseline_path.write_text(json.dumps(BENCH))
+        baseline_path = write_record(tmp_path / "base.json", RECORD)
         store = HistoryStore(tmp_path)
         # history holds a fast sample; the current file is a slow outlier
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
-        slow = dict(json.loads(baseline_path.read_text()))
-        slow["trace"]["expand_seconds"] = 6.0  # > 2.0 budget over 1.25
-        candidate_path = tmp_path / "BENCH_memsim.json"
-        candidate_path.write_text(json.dumps(slow))
+        store.append(RECORD, stream="serve")
+        slow = perturbed("serve.request.p99", 6.0 / 1.25)  # > 2.0 budget
+        candidate_path = write_record(tmp_path / "cand.json", slow)
         with pytest.raises(SystemExit):
             main(["perf", "check", "--against", str(baseline_path),
                   "--candidate", str(candidate_path)])

@@ -11,12 +11,11 @@ from repro.perf.history import (
     flatten_metrics,
     history_enabled,
     manifest_core,
-    record_from_bench,
     record_from_obs,
     span_self_times,
 )
 
-BENCH = {
+NESTED = {
     "trace": {"accesses": 1000, "expand_seconds": 1.25,
               "warm_expand_seconds": 0.01, "layout": "LZ"},
     "engines": {
@@ -25,25 +24,29 @@ BENCH = {
     },
     "trace_synthesis": {"events": 500, "speedup": 7.0, "grid": ["a/b"]},
     "parallel_sweep": {"speedup": 2.0, "jobs": 4},
-    "provenance": {
-        "command": "perf_smoke",
-        "git": {"sha": "abc123", "dirty": False},
-        "machine": {"sha256": "m1", "cpu_count": 8},
-        "knobs": {"REPRO_OBS": "1"},
-        "timestamp_unix": 1.0,
-    },
 }
+MANIFEST = {
+    "command": "fig4",
+    "git": {"sha": "abc123", "dirty": False},
+    "machine": {"sha256": "m1", "cpu_count": 8},
+    "knobs": {"REPRO_OBS": "1"},
+    "timestamp_unix": 1.0,
+}
+
+
+def nested_record() -> dict:
+    return build_record(flatten_metrics(NESTED), source="cli:fig4",
+                        manifest=MANIFEST)
 
 
 class TestFlatten:
     def test_numeric_scalars_only(self):
-        flat = flatten_metrics(BENCH)
+        flat = flatten_metrics(NESTED)
         assert flat["trace.accesses"] == 1000
         assert flat["engines.set_associative_8way.speedup"] == 10.0
-        # strings, lists, and the provenance section are dropped
+        # strings and lists are dropped
         assert "trace.layout" not in flat
         assert "trace_synthesis.grid" not in flat
-        assert not any(k.startswith("provenance") for k in flat)
 
     def test_bools_are_not_metrics(self):
         assert flatten_metrics({"a": {"ok": True, "n": 2}}) == {"a.n": 2}
@@ -51,13 +54,13 @@ class TestFlatten:
 
 class TestRecord:
     def test_content_addressed_and_provenance_linked(self):
-        rec = record_from_bench(BENCH)
-        assert rec["source"] == "perf_smoke"
+        rec = nested_record()
+        assert rec["source"] == "cli:fig4"
         assert rec["manifest"]["git"]["sha"] == "abc123"
         assert rec["manifest"]["machine_sha256"] == "m1"
         # volatile manifest fields stay out of the content address
         assert "timestamp_unix" not in rec["manifest"]
-        again = record_from_bench(BENCH)
+        again = nested_record()
         assert rec["record_id"] == again["record_id"]
 
     def test_record_id_tracks_metric_changes(self):
@@ -80,9 +83,9 @@ class TestRecord:
 
 class TestStreamNames:
     def test_source_to_stream(self):
-        assert as_stream_name("perf_smoke") == "perf_smoke"
+        assert as_stream_name("benchmarks") == "benchmarks"
         assert as_stream_name("cli:fig4") == "cli"
-        assert as_stream_name("perf_smoke@best-of-3") == "perf_smoke"
+        assert as_stream_name("serve:session@best-of-3") == "serve"
         assert as_stream_name("weird/../name") == "weird____name"  # no traversal
         assert as_stream_name("::") == "adhoc"
 
@@ -96,11 +99,11 @@ class TestStreamNames:
 class TestStore:
     def test_append_load_roundtrip(self, tmp_path):
         store = HistoryStore(tmp_path)
-        rec = record_from_bench(BENCH)
-        path = store.append(rec, stream="perf_smoke")
-        assert path == tmp_path / "perf_smoke.jsonl"
-        assert store.load("perf_smoke") == [rec]
-        assert store.streams() == ["perf_smoke"]
+        rec = nested_record()
+        path = store.append(rec, stream="benchmarks")
+        assert path == tmp_path / "benchmarks.jsonl"
+        assert store.load("benchmarks") == [rec]
+        assert store.streams() == ["benchmarks"]
 
     def test_append_requires_record_id(self, tmp_path):
         with pytest.raises(ValueError, match="record_id"):
@@ -108,15 +111,15 @@ class TestStore:
 
     def test_malformed_lines_skipped(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
-        with open(tmp_path / "perf_smoke.jsonl", "a") as fh:
+        store.append(nested_record(), stream="benchmarks")
+        with open(tmp_path / "benchmarks.jsonl", "a") as fh:
             fh.write("{truncated\n\n[1,2]\n")
-        assert len(store.load("perf_smoke")) == 1
+        assert len(store.load("benchmarks")) == 1
 
     def test_find_by_prefix(self, tmp_path):
         store = HistoryStore(tmp_path)
-        rec = record_from_bench(BENCH)
-        store.append(rec, stream="perf_smoke")
+        rec = nested_record()
+        store.append(rec, stream="benchmarks")
         assert store.find(rec["record_id"][:10]) == rec
         assert store.find("ffff") is None
 
@@ -124,11 +127,11 @@ class TestStore:
         store = HistoryStore(tmp_path)
         for i, speedup in enumerate((7.0, 8.0, 9.0)):
             rec = build_record(
-                {"trace_synthesis.speedup": speedup}, source="perf_smoke",
+                {"trace_synthesis.speedup": speedup}, source="benchmarks",
                 manifest={"git": {"sha": f"sha{i}"}},
             )
             rec["created_unix"] = float(i)  # force a known order
-            store.append(rec, stream="perf_smoke")
+            store.append(rec, stream="benchmarks")
         pts = store.series("trace_synthesis.speedup")
         assert [p["value"] for p in pts] == [7.0, 8.0, 9.0]
         assert pts[0]["git_sha"] == "sha0"
@@ -136,10 +139,10 @@ class TestStore:
 
     def test_load_merges_streams_by_time(self, tmp_path):
         store = HistoryStore(tmp_path)
-        a = build_record({"x": 1.0}, source="perf_smoke")
+        a = build_record({"x": 1.0}, source="benchmarks")
         b = build_record({"x": 2.0}, source="cli:fig4")
         a["created_unix"], b["created_unix"] = 2.0, 1.0
-        store.append(a, stream="perf_smoke")
+        store.append(a, stream="benchmarks")
         store.append(b, stream="cli")
         assert [r["metrics"]["x"] for r in store.load()] == [2.0, 1.0]
 
@@ -190,9 +193,9 @@ class TestRecordFromObs:
 class TestOnDiskFormat:
     def test_one_canonical_json_object_per_line(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
-        store.append(record_from_bench(BENCH), stream="perf_smoke")
-        lines = (tmp_path / "perf_smoke.jsonl").read_text().splitlines()
+        store.append(nested_record(), stream="benchmarks")
+        store.append(nested_record(), stream="benchmarks")
+        lines = (tmp_path / "benchmarks.jsonl").read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
             rec = json.loads(line)
